@@ -9,11 +9,12 @@
 
 #include "bench_common.h"
 #include "core/stats.h"
+#include "fleetsim/engine.h"
+#include "fleetsim/workload.h"
 #include "grid/forecast.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
-#include "sched/simulator.h"
-#include "sched/workload_gen.h"
+#include "sched/policy.h"
 
 #include "cli/registry.h"
 
@@ -41,24 +42,25 @@ static int tool_main(int, char**) {
 
   bench::print_banner(
       "Ablation A3 (b): temporal shifting value on a single home site");
-  sched::WorkloadParams wp;
+  fleetsim::FleetWorkloadParams wp;
   wp.horizon_hours = 24.0 * 28;
-  wp.arrival_rate_per_hour = 2.0;
-  const auto jobs = sched::generate_jobs(wp);
+  wp.rate_per_hour = 2.0;
+  const fleetsim::FleetJobs jobs = fleetsim::generate_fleet_jobs(wp);
 
   TextTable p({"Home region", "Policy", "Carbon (kg)", "vs run-now",
                "Mean wait (h)"});
   for (std::size_t r = 0; r < traces.size(); ++r) {
-    std::vector<sched::Site> site = {
-        sched::make_site(traces[r].region_code(), traces[r], 24)};
-    sched::SchedulerSimulator sim(site, HourOfYear(month_start_hour(5)));
+    const fleetsim::FleetEngine engine(
+        {sched::make_site(traces[r].region_code(), traces[r], 24)},
+        HourOfYear(month_start_hour(5)));
+    auto run = [&](const char* policy, const sched::PolicyConfig& cfg) {
+      return engine.run(jobs, *sched::make_policy(policy, cfg));
+    };
+    const auto base = run("fcfs-local", {});
 
-    sched::PolicyConfig now_cfg;
-    now_cfg.policy = sched::Policy::kFcfsLocal;
-    const auto base = sim.run(jobs, now_cfg);
-
-    auto report = [&](const char* label, const sched::PolicyConfig& cfg) {
-      const auto m = sim.run(jobs, cfg);
+    auto report = [&](const char* label, const char* policy,
+                      const sched::PolicyConfig& cfg) {
+      const auto m = run(policy, cfg);
       const double delta = 100.0 *
                            (base.total_carbon.to_grams() -
                             m.total_carbon.to_grams()) /
@@ -69,17 +71,15 @@ static int tool_main(int, char**) {
                  TextTable::num(m.mean_wait_hours, 2)});
     };
 
-    report("run-now", now_cfg);
+    report("run-now", "fcfs-local", {});
     sched::PolicyConfig thr;
-    thr.policy = sched::Policy::kThresholdDelay;
     thr.ci_threshold_g_per_kwh =
         stats::quantile(traces[r].values(), 0.35);
     thr.max_delay_hours = 12;
-    report("threshold-delay (p35)", thr);
+    report("threshold-delay (p35)", "threshold-delay", thr);
     sched::PolicyConfig fc;
-    fc.policy = sched::Policy::kForecastDelay;
     fc.max_delay_hours = 12;
-    report("forecast-delay (12 h)", fc);
+    report("forecast-delay (12 h)", "forecast-delay", fc);
   }
   bench::print_table(p);
 

@@ -7,10 +7,11 @@
 #include <iostream>
 
 #include "core/table.h"
+#include "fleetsim/engine.h"
+#include "fleetsim/workload.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
-#include "sched/simulator.h"
-#include "sched/workload_gen.h"
+#include "sched/policy.h"
 
 #include "cli/registry.h"
 
@@ -24,35 +25,30 @@ static int tool_main(int, char**) {
       sched::make_site("ESO", traces[0], 12),
       sched::make_site("CISO", traces[1], 12),
   };
-  sched::SchedulerSimulator sim(sites, HourOfYear(month_start_hour(5)));
+  const fleetsim::FleetEngine engine(sites, HourOfYear(month_start_hour(5)));
 
-  sched::WorkloadParams wp;
+  fleetsim::FleetWorkloadParams wp;
   wp.horizon_hours = 24.0 * 28;
-  wp.arrival_rate_per_hour = 2.0;
+  wp.rate_per_hour = 2.0;
   wp.user_count = 6;
-  const auto jobs = sched::generate_jobs(wp);
+  const fleetsim::FleetJobs jobs = fleetsim::generate_fleet_jobs(wp);
 
   std::cout << banner("Carbon-aware scheduling across ERCOT / ESO / CISO");
   std::cout << jobs.size() << " jobs over 28 days from June 1; home site: "
             << "ERCOT\n\n";
 
-  const std::pair<const char*, sched::Policy> policies[] = {
-      {"fcfs-local", sched::Policy::kFcfsLocal},
-      {"greedy-lowest-ci", sched::Policy::kGreedyLowestCi},
-      {"threshold-delay", sched::Policy::kThresholdDelay},
-      {"budget-aware", sched::Policy::kBudgetAware},
-  };
+  sched::PolicyConfig cfg;
+  cfg.ci_threshold_g_per_kwh = 320;
+  cfg.max_delay_hours = 12;
+  cfg.user_budget = Mass::kilograms(250);
 
   TextTable t({"Policy", "Carbon (kg)", "Mean wait (h)", "Remote jobs",
                "Utilization"});
-  for (const auto& [label, policy] : policies) {
-    sched::PolicyConfig cfg;
-    cfg.policy = policy;
-    cfg.ci_threshold_g_per_kwh = 320;
-    cfg.max_delay_hours = 12;
-    cfg.user_budget = Mass::kilograms(250);
-    const auto m = sim.run(jobs, cfg);
-    t.add_row({label, TextTable::num(m.total_carbon.to_kilograms(), 1),
+  for (const char* name : {"fcfs-local", "greedy-lowest-ci",
+                           "threshold-delay", "budget-aware"}) {
+    const auto policy = sched::make_policy(name, cfg);
+    const auto m = engine.run(jobs, *policy);
+    t.add_row({name, TextTable::num(m.total_carbon.to_kilograms(), 1),
                TextTable::num(m.mean_wait_hours, 2),
                std::to_string(m.remote_dispatches),
                TextTable::num(m.utilization, 2)});
@@ -60,11 +56,9 @@ static int tool_main(int, char**) {
   std::cout << t.to_string();
 
   // Budget accounting detail for the budget-aware run.
-  sched::PolicyConfig cfg;
-  cfg.policy = sched::Policy::kBudgetAware;
-  cfg.user_budget = Mass::kilograms(250);
   sched::CarbonBudgetLedger ledger;
-  sim.run(jobs, cfg, nullptr, &ledger);
+  const auto budget = sched::make_policy("budget-aware", cfg);
+  engine.run(jobs, *budget, nullptr, &ledger);
   std::cout << "\nPer-user carbon-budget ledger (allocation 250 kg):\n";
   TextTable ut({"User", "spent (kg)", "remaining %", "status"});
   for (int u = 0; u < wp.user_count; ++u) {

@@ -212,8 +212,16 @@ int cmd_fleetsim(int argc, char** argv, std::ostream& err) {
   if (quantiles) {
     headers.insert(headers.end(), {"p05 %", "p50 %", "p95 %"});
   }
+  std::vector<mc::Distribution> dists;
+  if (quantiles) {
+    const mc::SamplePlan plan{opts.uncertainty_samples, opts.uncertainty_seed,
+                              &ThreadPool::global()};
+    dists = fleetsim::fleet_savings_distributions(engine, opts.workload,
+                                                  opts.policies, plan);
+  }
   TextTable table(headers);
-  for (const auto& name : opts.policies) {
+  for (std::size_t k = 0; k < opts.policies.size(); ++k) {
+    const std::string& name = opts.policies[k];
     const auto policy = sched::make_policy(name);
     const auto start = std::chrono::steady_clock::now();
     const auto metrics = engine.run(jobs, *policy);
@@ -233,14 +241,9 @@ int cmd_fleetsim(int argc, char** argv, std::ostream& err) {
                            : 0.0,
                        2)};
     if (quantiles) {
-      const mc::SamplePlan plan{opts.uncertainty_samples,
-                                opts.uncertainty_seed,
-                                &ThreadPool::global()};
-      const mc::Distribution d = fleetsim::fleet_savings_distribution(
-          engine, opts.workload, name, plan);
-      row.push_back(TextTable::num(d.p05(), 2));
-      row.push_back(TextTable::num(d.p50(), 2));
-      row.push_back(TextTable::num(d.p95(), 2));
+      row.push_back(TextTable::num(dists[k].p05(), 2));
+      row.push_back(TextTable::num(dists[k].p50(), 2));
+      row.push_back(TextTable::num(dists[k].p95(), 2));
     }
     table.add_row(row);
   }

@@ -2,20 +2,26 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "core/csv.h"
 #include "core/error.h"
-#include "core/stats.h"
+#include "core/rng.h"
 #include "core/thread_annotations.h"
 #include "core/thread_pool.h"
+#include "fleetsim/engine.h"
+#include "fleetsim/uncertainty.h"
+#include "fleetsim/workload.h"
 #include "grid/analysis.h"
 #include "grid/import.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
+#include "mc/distribution.h"
 #include "mc/engine.h"
-#include "sched/workload_gen.h"
+#include "sched/policy.h"
 #include "serve/cache.h"
 
 namespace hpcarbon::cli {
@@ -155,15 +161,18 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
               return summaries[a].box.median < summaries[b].box.median;
             });
 
-  sched::WorkloadParams wp;
+  fleetsim::FleetWorkloadParams wp;
   wp.horizon_hours = 24.0 * opts.horizon_days;
-  wp.arrival_rate_per_hour = opts.arrival_rate_per_hour;
-  const auto jobs = sched::generate_jobs(wp);
+  wp.rate_per_hour = opts.arrival_rate_per_hour;
+  const fleetsim::FleetJobs jobs = fleetsim::generate_fleet_jobs(wp);
   const HourOfYear epoch(month_start_hour(opts.start_month));
 
-  // Home + the two cleanest other regions, the same trio for every policy
-  // cell and every uncertainty sample of a region.
-  auto build_sites = [&](std::size_t r) {
+  // One engine per home region: home + the two cleanest other regions, the
+  // same trio for every policy cell and every uncertainty sample of a
+  // region (run() is const, so cells share it across pool threads).
+  std::vector<fleetsim::FleetEngine> engines;
+  engines.reserve(specs.size());
+  for (std::size_t r = 0; r < specs.size(); ++r) {
     std::vector<sched::Site> sites = {
         sched::make_site(specs[r].code, traces[r], opts.site_capacity)};
     for (std::size_t idx : by_median) {
@@ -171,8 +180,8 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
       sites.push_back(sched::make_site(specs[idx].code, traces[idx],
                                        opts.site_capacity));
     }
-    return sites;
-  };
+    engines.emplace_back(std::move(sites), epoch);
+  }
 
   // Stage 2 — the (region x policy) ablation matrix on the global pool.
   ScenarioReport report;
@@ -188,10 +197,8 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
         const std::size_t r = cell / policies.size();
         const std::string& policy_name = policies[cell % policies.size()];
 
-        const std::vector<sched::Site> sites = build_sites(r);
-        sched::SchedulingEngine engine(sites, epoch);
         const auto policy = sched::make_policy(policy_name);
-        const auto metrics = engine.run(jobs, *policy);
+        const auto metrics = engines[r].run(jobs, *policy);
 
         ScenarioRow& row = report.rows[cell];
         row.region = specs[r].code;
@@ -223,38 +230,35 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
 
   // Stage 3 (optional) — savings% quantiles over workload-generator seeds.
   // Sample k draws the same workload for every region (paired comparison),
-  // and all policies of one (region, sample) cell share one engine so the
-  // quantiles isolate the policy effect, not workload luck.
+  // and all policies of one (region, sample) cell score the same jobs, so
+  // the quantiles isolate the policy effect, not workload luck. The cells
+  // fan out over the pool; sample k uses substream k, exactly as
+  // fleet_savings_distributions would for that region alone.
   if (opts.uncertainty_samples > 0) {
     report.uncertainty_samples = opts.uncertainty_samples;
     const auto n_samples = static_cast<std::size_t>(opts.uncertainty_samples);
-    std::vector<double> savings(specs.size() * policies.size() * n_samples,
-                                0.0);
+    const std::size_t n_policies = policies.size();
+    // savings[(r * n_samples + k) * n_policies + p]: one stripe per cell.
+    std::vector<double> savings(specs.size() * n_samples * n_policies, 0.0);
     ThreadPool::global().parallel_for(
         0, specs.size() * n_samples, [&](std::size_t cell) {
-          const std::size_t r = cell / n_samples;
-          const std::size_t k = cell % n_samples;
-          Rng rng = mc::substream(opts.uncertainty_seed, k);
-          sched::WorkloadParams sample_wp = wp;
-          sample_wp.seed = rng.next_u64();
-          const auto sample_jobs = sched::generate_jobs(sample_wp);
-          sched::SchedulingEngine engine(build_sites(r), epoch);
-          double base_g = 0;
-          for (std::size_t p = 0; p < policies.size(); ++p) {
-            const auto policy = sched::make_policy(policies[p]);
-            const double g =
-                engine.run(sample_jobs, *policy).total_carbon.to_grams();
-            if (p == 0) base_g = g;  // fcfs-local, by construction
-            savings[(r * policies.size() + p) * n_samples + k] =
-                base_g > 0 ? 100.0 * (base_g - g) / base_g : 0.0;
-          }
+          Rng rng = mc::substream(opts.uncertainty_seed, cell % n_samples);
+          fleetsim::fleet_savings_sample(
+              engines[cell / n_samples], wp, policies, rng,
+              std::span<double>(&savings[cell * n_policies], n_policies));
         });
-    for (std::size_t i = 0; i < report.rows.size(); ++i) {
-      const stats::Summary s(
-          std::span<const double>(&savings[i * n_samples], n_samples));
-      report.rows[i].savings_p05 = s.quantile(0.05);
-      report.rows[i].savings_p50 = s.quantile(0.50);
-      report.rows[i].savings_p95 = s.quantile(0.95);
+    for (std::size_t r = 0; r < specs.size(); ++r) {
+      for (std::size_t p = 0; p < n_policies; ++p) {
+        std::vector<double> column(n_samples);
+        for (std::size_t k = 0; k < n_samples; ++k) {
+          column[k] = savings[(r * n_samples + k) * n_policies + p];
+        }
+        const mc::Distribution d(std::move(column));
+        ScenarioRow& row = report.rows[r * n_policies + p];
+        row.savings_p05 = d.p05();
+        row.savings_p50 = d.p50();
+        row.savings_p95 = d.p95();
+      }
     }
   }
   return report;

@@ -10,12 +10,13 @@
 #include "core/error.h"
 #include "core/thread_pool.h"
 #include "embodied/catalog.h"
+#include "fleetsim/engine.h"
+#include "fleetsim/uncertainty.h"
+#include "fleetsim/workload.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
 #include "hw/node.h"
-#include "sched/engine.h"
 #include "sched/policy.h"
-#include "sched/workload_gen.h"
 
 namespace hpcarbon::cli {
 
@@ -155,46 +156,29 @@ void sweep_sched(const SweepOptions& opts, SweepReport& report) {
   const auto traces = traces_for(
       grid::fig7_regions(),
       overrides_matching(opts, grid::codes_of(grid::fig7_regions())));
-  const std::vector<sched::Site> sites = {
-      sched::make_site("ERCOT", traces[2], 16),
-      sched::make_site("ESO", traces[0], 16),
-      sched::make_site("CISO", traces[1], 16),
-  };
-  const HourOfYear epoch(month_start_hour(5));
+  const fleetsim::FleetEngine engine(
+      {sched::make_site("ERCOT", traces[2], 16),
+       sched::make_site("ESO", traces[0], 16),
+       sched::make_site("CISO", traces[1], 16)},
+      HourOfYear(month_start_hour(5)));
   // Pin the savings denominator explicitly rather than trusting static
   // registration order across translation units (scenario_runner does the
   // same): policies[0] must be the fcfs-local baseline.
   const auto fcfs = sched::find_policy("fcfs-local");
   HPC_REQUIRE(fcfs.has_value(), "fcfs-local baseline policy not registered");
-  std::vector<sched::PolicyDescriptor> policies = {*fcfs};
+  std::vector<std::string> policies = {fcfs->name};
   for (const auto& desc : sched::registered_policies()) {
-    if (desc.name != fcfs->name) policies.push_back(desc);
+    if (desc.name != fcfs->name) policies.push_back(desc.name);
   }
 
-  // One joint draw per workload seed: every policy scores the same jobs,
-  // so the per-policy savings distributions isolate policy choice from
-  // workload luck.
-  const mc::Engine engine({opts.sched_samples, opts.seed, nullptr});
-  const auto dists = engine.run_multi(
-      policies.size(), [&](std::size_t, Rng& rng, std::span<double> out) {
-        sched::WorkloadParams wp;
-        wp.horizon_hours = 24.0 * 28;
-        wp.arrival_rate_per_hour = 2.5;
-        wp.seed = rng.next_u64();
-        const auto jobs = sched::generate_jobs(wp);
-        sched::SchedulingEngine sim(sites, epoch);
-        double base_g = 0;
-        for (std::size_t p = 0; p < policies.size(); ++p) {
-          const auto policy = policies[p].make({});
-          const double g = sim.run(jobs, *policy).total_carbon.to_grams();
-          if (p == 0) base_g = g;  // fcfs-local, pinned above
-          out[p] = base_g > 0 ? 100.0 * (base_g - g) / base_g : 0.0;
-        }
-      });
+  fleetsim::FleetWorkloadParams wp;
+  wp.horizon_hours = 24.0 * 28;
+  wp.rate_per_hour = 2.5;
+  const auto dists = fleetsim::fleet_savings_distributions(
+      engine, wp, policies, {opts.sched_samples, opts.seed, nullptr});
   for (std::size_t p = 0; p < policies.size(); ++p) {
-    report.rows.push_back(make_row("sched",
-                                   policies[p].name + " savings vs fcfs", "%",
-                                   dists[p], 1.0,
+    report.rows.push_back(make_row("sched", policies[p] + " savings vs fcfs",
+                                   "%", dists[p], 1.0,
                                    p == 0 ? "baseline" : ""));
   }
 }

@@ -65,8 +65,8 @@ int FleetEngine::capacity_total() const {
 namespace {
 
 /// (completion tick, site), min-heap on tick. Ties pop in arbitrary order
-/// — like the original engine, all due completions free their slots
-/// before any decision is consulted, so tie order is unobservable.
+/// — all due completions free their slots before any decision is
+/// consulted, so tie order is unobservable.
 using Completion = std::pair<Tick, std::uint32_t>;
 
 constexpr Tick kNoEvent = std::numeric_limits<Tick>::max();
@@ -89,7 +89,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   // Policies take arrivals as sched::Job values (begin_run scans users,
   // forecasts read traces) and see queued jobs through PendingJob — one
   // materialization pass; tick times convert to exact doubles, so every
-  // double a policy reads equals what SchedulingEngine would hand it.
+  // hour a policy reads is exactly the tick time.
   const std::vector<sched::Job> arrivals = jobs.to_jobs();
 
   sched::CarbonBudgetLedger ledger;
@@ -137,10 +137,9 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
 
   policy.begin_run(arrivals, ledger, view);
 
-  // Accounting is expression-identical to SchedulingEngine::run's
-  // start_job (same operations, same order, same doubles) — that is the
-  // whole bit-identity argument, so any edit here must mirror
-  // sched/engine.cpp.
+  // Accounting order is part of the output: FP sums are order-sensitive,
+  // so reordering these operations moves the golden metrics in
+  // tests/test_fleetsim.cpp.
   auto start_job = [&](const sched::Job& j, std::size_t site, Tick now_tick,
                        Tick duration_tick) {
     const double now = t_hours;
@@ -194,9 +193,9 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
     }
   };
 
-  // Event loop: arrivals, completions, hourly ticks, and planned starts —
-  // the same four wake sources as SchedulingEngine, all on the integer
-  // tick clock.
+  // Event loop: arrivals, completions, hourly ticks (so delay/throttle
+  // policies re-evaluate as the grid's intensity moves), and planned
+  // starts — four wake sources, all on the integer tick clock.
   while (next_arrival < n || !completions.empty() || !waiting.empty()) {
     Tick next_tick = kNoEvent;
     if (next_arrival < n) {

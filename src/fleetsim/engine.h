@@ -1,29 +1,29 @@
-// Event-heap discrete-event fleet engine: the datacenter-scale rebuild of
-// sched::SchedulingEngine.
+// Discrete-event scheduling engine: the mechanism layer of the scheduler.
 //
-// Same mechanism contract as the original engine — sorted arrivals, a
+// The engine owns everything policy-independent — arrival ordering, the
 // completion min-heap, hourly re-evaluation ticks while jobs queue,
-// per-site free slots, O(1) prefix-sum carbon, and every decision
-// delegated to a sched::SchedulingPolicy — but sized for thousands of
-// nodes and millions of jobs:
+// per-site free slots, carbon and energy accounting, and the budget
+// ledger — and delegates every decision (which queued job, which site,
+// when) to a sched::SchedulingPolicy (sched/policy.h). It serves the
+// paper-scale scenarios (`hpcarbon run`, serve `sched`) and fleets of
+// thousands of nodes and millions of jobs alike:
 //
 //  * integer event ticks (fleetsim/jobs.h, 1024/hour): event matching is
-//    an integer compare, not a `<= t + 1e-12` epsilon, and because the
-//    tick rate is a power of two every tick converts to an *exact*
-//    double, so the carbon/energy/wait arithmetic evaluates the same
-//    expressions on the same doubles as SchedulingEngine — metrics,
-//    outcomes, and ledgers are bit-identical on tick-aligned workloads
-//    (tests/test_fleetsim.cpp pins this for all registered policies);
-//  * struct-of-arrays job storage in and out (FleetJobs / FleetOutcomes):
-//    no per-job heap Job while jobs wait on disk-format vectors;
+//    an integer compare, never an epsilon, and because the tick rate is a
+//    power of two every tick converts to an exact double, so carbon,
+//    energy and wait arithmetic is exact in the event times;
+//  * O(1) per-job carbon through PUE-weighted prefix sums
+//    (op::CarbonIntegrator), built once per site at construction, so
+//    run() cost scales with job count, not job-hours;
+//  * struct-of-arrays job storage in and out (FleetJobs / FleetOutcomes);
 //  * run() is const — all mutable state is per-call, so Monte-Carlo
 //    uncertainty sweeps fan one engine out across mc::Engine threads.
 //
-// Policies written against ClusterView run unmodified: the engine binds
-// the same view (friend access) with its double clock slaved to the tick
-// clock. Policy-planned starts that are not tick-aligned are rounded up
-// to the next tick (built-in policies plan whole-hour offsets, which are
-// always aligned).
+// Policies see the cluster through sched::ClusterView, whose double clock
+// the engine slaves to the tick clock. Policy-planned starts that are not
+// tick-aligned are rounded up to the next tick (built-in policies plan
+// whole-hour offsets, which are always aligned). tests/test_fleetsim.cpp
+// pins run() bit for bit against golden metrics.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,6 @@
 #include "op/operational.h"
 #include "op/pue.h"
 #include "sched/budget.h"
-#include "sched/engine.h"
 #include "sched/job.h"
 #include "sched/policy.h"
 
@@ -64,13 +63,15 @@ struct FleetOutcomes {
 class FleetEngine {
  public:
   /// sites[0] is the home site; `epoch` anchors tick 0 on the traces'
-  /// calendar (UTC). Builds one CarbonIntegrator per site, exactly like
-  /// SchedulingEngine.
+  /// calendar (UTC). Builds one CarbonIntegrator per site.
   FleetEngine(std::vector<sched::Site> sites, HourOfYear epoch,
               op::PueModel pue = op::PueModel());
 
   /// Run the event loop under `policy`. Jobs must validate (sorted
-  /// submits, positive durations). An empty fleet yields zero metrics.
+  /// submits, positive durations). An empty fleet yields zero metrics (a
+  /// quiet generated horizon is a valid scenario, not an error).
+  /// Optionally returns per-job outcomes (in dispatch order) and the
+  /// final budget ledger.
   /// const: all simulation state is local, so concurrent runs on one
   /// engine (Monte-Carlo seed sweeps) are safe.
   sched::ScheduleMetrics run(const FleetJobs& jobs,

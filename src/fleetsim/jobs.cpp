@@ -46,9 +46,9 @@ void FleetJobs::validate() const {
 }
 
 FleetJobs FleetJobs::from_jobs(const std::vector<sched::Job>& jobs) {
-  // Sort by submit like the scheduling engine does, so queue order (and
-  // therefore every policy decision) matches a direct SchedulingEngine run
-  // on the same list.
+  // Stable: jobs submitted at the same instant keep their input order, so
+  // FCFS tie-breaking (and therefore the whole event sequence) is a
+  // deterministic function of the job list.
   std::vector<std::size_t> order(jobs.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),

@@ -1,22 +1,17 @@
-// Struct-of-arrays job storage for the fleet simulator, on an integer
+// Struct-of-arrays job storage for the scheduling engine, on an integer
 // tick clock.
 //
-// The scheduling engine in sched/engine.h keeps time as fractional-hour
-// doubles, which forced epsilon comparisons on event matching and a
-// 72-byte Job struct per queue entry — fine for the paper's few thousand
-// jobs, hostile to millions. The fleet simulator stores jobs as parallel
-// vectors (submit/duration ticks, IT power, user id) and quantizes time to
-// an integer tick grid:
+// Jobs are parallel vectors (submit/duration ticks, IT power, user id)
+// rather than one struct per job, and time is quantized to an integer
+// tick grid:
 //
 //   kTicksPerHour = 1024 (a power of two)
 //
 // so every event time is tick/1024 hours — *exactly* representable as a
 // double (the numerator stays far below 2^53 for any simulated horizon).
 // Sums and differences of tick-quantized hours are therefore exact FP
-// arithmetic, which is what lets fleetsim::FleetEngine reproduce the
-// double-based SchedulingEngine bit for bit on tick-aligned workloads
-// (tests/test_fleetsim.cpp) while matching events with integer compares,
-// no 1e-12 epsilon anywhere.
+// arithmetic: fleetsim::FleetEngine matches events with integer compares,
+// no epsilon anywhere, and hands policies exact fractional-hour doubles.
 #pragma once
 
 #include <cmath>
@@ -86,14 +81,15 @@ struct FleetJobs {
   /// positive, and every user index is in range.
   void validate() const;
 
-  /// Quantize a double-based workload onto the tick grid (nearest tick;
-  /// durations clamp up to one tick so no job becomes instantaneous) and
-  /// sort by submit. Ids are preserved.
+  /// Quantize a double-based workload (hand-built jobs, parsed CSV rows)
+  /// onto the tick grid (nearest tick; durations clamp up to one tick so
+  /// no job becomes instantaneous) and stable-sort by submit. Ids are
+  /// preserved.
   static FleetJobs from_jobs(const std::vector<sched::Job>& jobs);
 
   /// Materialize sched::Job values (exact: tick times convert to the same
   /// doubles the engine computes with). Used to brief policies'
-  /// begin_run() and by the parity tests.
+  /// begin_run().
   std::vector<sched::Job> to_jobs() const;
 };
 

@@ -1,10 +1,14 @@
-// Seeded synthetic arrival processes for the fleet simulator.
+// Seeded synthetic job streams: the one workload generator of the
+// scheduler.
 //
-// Three processes cover the workload shapes the scheduling literature
-// cares about at fleet scale:
+// Poisson arrivals with lognormal durations reproduce the heavy-tailed job
+// mixes reported for production GPU clusters (Helios, MIT Supercloud,
+// Philly). Three arrival processes cover the workload shapes the
+// scheduling literature cares about:
 //
-//  * poisson — memoryless arrivals at a constant rate (the workload_gen
-//    baseline, generated directly onto the tick grid);
+//  * poisson — memoryless arrivals at a constant rate (the default, and
+//    what `hpcarbon run`, serve `sched`, and the ablation benches use),
+//    generated directly onto the tick grid;
 //  * diurnal — a sinusoidally modulated Poisson process (office-hours
 //    load) realized by thinning, so the accept/reject stream is exactly
 //    reproducible from the seed;
@@ -45,8 +49,8 @@ struct FleetWorkloadParams {
   /// exponential-sized batch (mean burst_mean_size, minimum 1) submitted
   /// at the same tick.
   double burst_mean_size = 8.0;
-  /// Job attributes, matching sched::WorkloadParams' distributions:
-  /// lognormal durations (clamped) and uniform IT power.
+  /// Job attributes: lognormal durations (exp(1.2) ~ 3.3 h median,
+  /// clamped) and uniform IT power (1-2 GPU jobs up to full 4-GPU nodes).
   double duration_log_mean = 1.2;
   double duration_log_sigma = 1.0;
   double max_duration_hours = 96.0;

@@ -5,7 +5,9 @@
 // schedulers" exploiting the temporal and cross-region variations of
 // Figs. 6-7, plus a per-user carbon-budget incentive structure. This module
 // is that actionable artifact: a discrete-event scheduler over multiple
-// regional HPC sites fed by the grid traces.
+// regional HPC sites fed by the grid traces. This header holds the value
+// types every layer shares — a job, a site, and the metrics of one run;
+// the engine itself is fleetsim::FleetEngine (fleetsim/engine.h).
 #pragma once
 
 #include <string>
@@ -38,5 +40,17 @@ struct Site {
 
 Site make_site(const std::string& code, const grid::CarbonIntensityTrace& local,
                int capacity, Energy transfer_energy = Energy::kilowatt_hours(0.5));
+
+/// Whole-run totals of one engine run under one policy.
+struct ScheduleMetrics {
+  Mass total_carbon;       // compute + transfer
+  Mass transfer_carbon;
+  Energy total_energy;     // facility side
+  double mean_wait_hours = 0;
+  double p95_wait_hours = 0;
+  double utilization = 0;  // busy node-hours / available node-hours
+  int jobs_completed = 0;
+  int remote_dispatches = 0;
+};
 
 }  // namespace hpcarbon::sched

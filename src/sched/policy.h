@@ -11,14 +11,13 @@
 //  * SchedulingPolicy   — the strategy interface: plan a start on arrival,
 //                         pick (job, site) pairs at dispatch time, observe
 //                         started jobs.
-//  * Policy registry    — string-keyed factory; the CLI and benches
-//                         enumerate it instead of hard-coding an enum, so a
-//                         policy registered here appears in `hpcarbon run`,
-//                         `hpcarbon policies`, and the ablation bench with
-//                         no further wiring.
+//  * Policy registry    — string-keyed factory; the CLI, serve, and the
+//                         benches enumerate it, so a policy registered here
+//                         appears in `hpcarbon run`, `hpcarbon policies`,
+//                         and the ablation bench with no further wiring.
 //
-// The engine that drives these lives in sched/engine.h; the legacy
-// enum-based SchedulerSimulator facade in sched/simulator.h delegates here.
+// The one engine that drives these is fleetsim::FleetEngine
+// (fleetsim/engine.h): it binds the ClusterView and calls every hook below.
 #pragma once
 
 #include <cmath>
@@ -35,30 +34,14 @@
 #include "sched/job.h"
 
 namespace hpcarbon::fleetsim {
-class FleetEngine;  // binds ClusterView for integer-tick runs (src/fleetsim)
+class FleetEngine;  // binds ClusterView for each run (src/fleetsim)
 }
 
 namespace hpcarbon::sched {
 
-/// Legacy programmatic identifiers. The registry below is the open,
-/// string-keyed surface; this enum is retained so existing code and tests
-/// can configure the built-in policies without string lookups.
-enum class Policy {
-  kFcfsLocal,
-  kGreedyLowestCi,
-  kThresholdDelay,
-  kBudgetAware,
-  kForecastDelay,
-  kNetBenefit,
-  kForecastNetBenefit,
-  kRenewableCap,
-};
-const char* to_string(Policy p);
-
 /// Knob bag shared by every built-in policy; each class reads only the
 /// fields it documents. Registry `make` functions receive one of these.
 struct PolicyConfig {
-  Policy policy = Policy::kFcfsLocal;
   /// ThresholdDelay: run when local CI <= threshold…
   double ci_threshold_g_per_kwh = 150.0;
   /// …or when the job has waited this long (also the ForecastDelay search
@@ -120,7 +103,6 @@ class ClusterView {
   long lowest_ci_free_site() const;
 
  private:
-  friend class SchedulingEngine;
   friend class ::hpcarbon::fleetsim::FleetEngine;
   const std::vector<Site>* sites_ = nullptr;
   const std::vector<int>* free_slots_ = nullptr;
@@ -194,8 +176,8 @@ struct PolicyDescriptor {
 /// replaces). Built-ins self-register via HPCARBON_REGISTER_POLICY.
 void register_policy(PolicyDescriptor descriptor);
 
-/// All registered policies, in registration order (built-ins first, in
-/// Policy-enum order).
+/// All registered policies, in registration order (built-ins first,
+/// fcfs-local leading).
 std::vector<PolicyDescriptor> registered_policies();
 
 /// Lookup by canonical or short name; nullopt when unknown. Returns a
@@ -206,8 +188,6 @@ std::optional<PolicyDescriptor> find_policy(const std::string& name_or_short);
 /// Factory. Throws hpcarbon::Error for unknown names.
 std::unique_ptr<SchedulingPolicy> make_policy(const std::string& name,
                                               const PolicyConfig& cfg = {});
-/// Legacy enum-keyed factory (routes through the registry).
-std::unique_ptr<SchedulingPolicy> make_policy(const PolicyConfig& cfg);
 
 }  // namespace hpcarbon::sched
 

@@ -22,9 +22,7 @@
 #include "fleetsim/uncertainty.h"
 #include "fleetsim/workload.h"
 #include "op/pue.h"
-#include "sched/engine.h"
 #include "sched/policy.h"
-#include "sched/workload_gen.h"
 #include "workload/suite.h"
 
 namespace hpcarbon::serve {
@@ -176,39 +174,9 @@ std::vector<sched::Site> query_sites(const json::Value& params,
   return sites;
 }
 
-json::Value evaluate_sched(const json::Value& params, TraceStore& traces) {
-  const std::vector<sched::Site> sites = query_sites(params, traces);
-
-  sched::WorkloadParams wp;
-  wp.horizon_hours = 24.0 * num(params, "days");
-  wp.arrival_rate_per_hour = num(params, "rate");
-  wp.seed = static_cast<std::uint64_t>(num(params, "seed"));
-  const auto jobs = sched::generate_jobs(wp);
-  const HourOfYear epoch(
-      month_start_hour(static_cast<int>(num(params, "start_month"))));
-
-  sched::SchedulingEngine engine(sites, epoch);
-  const auto baseline_policy = sched::make_policy("fcfs-local");
-  const auto base = engine.run(jobs, *baseline_policy);
-  const auto policy = sched::make_policy(str(params, "policy"));
-  const auto metrics = engine.run(jobs, *policy);
-
-  const double base_g = base.total_carbon.to_grams();
-  const double g = metrics.total_carbon.to_grams();
-  json::Value out = json::Value::object();
-  out.set("baseline_carbon_kg",
-          json::Value::number(base.total_carbon.to_kilograms()));
-  out.set("carbon_kg", json::Value::number(metrics.total_carbon.to_kilograms()));
-  out.set("jobs", json::Value::number(static_cast<double>(jobs.size())));
-  out.set("jobs_completed", json::Value::number(metrics.jobs_completed));
-  out.set("mean_wait_hours", json::Value::number(metrics.mean_wait_hours));
-  out.set("p95_wait_hours", json::Value::number(metrics.p95_wait_hours));
-  out.set("remote_dispatches", json::Value::number(metrics.remote_dispatches));
-  out.set("savings_pct", json::Value::number(
-                             base_g > 0 ? 100.0 * (base_g - g) / base_g : 0.0));
-  return out;
-}
-
+/// The fleetsim family: the site trio, a generated workload, and the
+/// fcfs-local baseline plus the requested policy on the same jobs through
+/// FleetEngine, with optional savings quantiles over workload seeds.
 json::Value evaluate_fleetsim(const json::Value& params, TraceStore& traces) {
   const std::vector<sched::Site> sites = query_sites(params, traces);
   const HourOfYear epoch(
@@ -256,6 +224,20 @@ json::Value evaluate_fleetsim(const json::Value& params, TraceStore& traces) {
     out.set("savings_p05", json::Value::number(d.p05()));
     out.set("savings_p50", json::Value::number(d.p50()));
     out.set("savings_p95", json::Value::number(d.p95()));
+  }
+  return out;
+}
+
+/// The sched family is a projection of fleetsim: Poisson arrivals, no
+/// seed sampling, and the result without `process` and `utilization`.
+json::Value evaluate_sched(const json::Value& params, TraceStore& traces) {
+  json::Value fleet_params = params;
+  fleet_params.set("process", json::Value::string("poisson"));
+  fleet_params.set("samples", json::Value::number(0));
+  const json::Value fleet = evaluate_fleetsim(fleet_params, traces);
+  json::Value out = json::Value::object();
+  for (const auto& [key, value] : fleet.members()) {
+    if (key != "process" && key != "utilization") out.set(key, value);
   }
   return out;
 }

@@ -282,9 +282,10 @@ void normalize_breakeven(ParamReader& r) {
   r.number("pue", 1.2, 1.0, 3.0);
 }
 
-void normalize_sched(ParamReader& r) {
-  // regions[0] is the home site; the engine adds the two cleanest others
-  // as remote-dispatch options, mirroring `hpcarbon run`.
+/// The trio fields the sched and fleetsim families share. regions[0] is
+/// the home site; the engine adds the two cleanest others as remote
+/// options, mirroring `hpcarbon run`.
+void normalize_trio(ParamReader& r) {
   const auto regions = r.string_array(
       "regions", {"ERCOT", "ESO", "CISO"}, 1, grid::all_regions().size());
   std::set<std::string> seen;
@@ -307,48 +308,37 @@ void normalize_sched(ParamReader& r) {
   // {"policy":"greedy"} and {"policy":"greedy-lowest-ci"} share a cache
   // entry.
   r.rewrite("policy", desc->name);
-  r.number("days", 28.0, 0.5, 366.0);
-  r.number("rate", 2.5, 0.01, 1000.0);
+}
+
+/// Cross-field guard: the engine simulates millions of jobs per second,
+/// but a serve answer should still be interactive — bound the expected
+/// job count, not each factor alone.
+void check_job_count(ParamReader& r, double rate, double days) {
+  if (rate * 24.0 * days > 4.0e6) {
+    r.fail("rate", "implies more than 4000000 expected jobs (rate * days * "
+                   "24); lower rate or days");
+  }
+}
+
+void normalize_sched(ParamReader& r) {
+  normalize_trio(r);
+  const double days = r.number("days", 28.0, 0.5, 366.0);
+  const double rate = r.number("rate", 2.5, 0.01, 1000.0);
+  check_job_count(r, rate, days);
   r.integer("capacity", 16, 1, 4096);
   r.integer("start_month", 5, 0, 11);
   r.integer("seed", 2024, 0, static_cast<long>(kMaxExactInt));
 }
 
 void normalize_fleetsim(ParamReader& r) {
-  // Same trio contract as sched: regions[0] is the home site, the engine
-  // adds the two cleanest others as remote options.
-  const auto regions = r.string_array(
-      "regions", {"ERCOT", "ESO", "CISO"}, 1, grid::all_regions().size());
-  std::set<std::string> seen;
-  for (const auto& code : regions) {
-    check_region(r, "regions", code);
-    if (!seen.insert(code).second) {
-      r.fail("regions", "lists region '" + code + "' twice");
-    }
-  }
-  const std::string policy = r.required_str("policy");
-  const auto desc = sched::find_policy(policy);
-  if (!desc) {
-    std::string known;
-    for (const auto& d : sched::registered_policies()) {
-      known += (known.empty() ? "" : ", ") + d.short_name;
-    }
-    r.fail("policy", "names no registered policy (known: " + known + ")");
-  }
-  r.rewrite("policy", desc->name);
+  normalize_trio(r);
   const std::string process = r.str("process", "poisson");
   if (process != "poisson" && process != "diurnal" && process != "bursty") {
     r.fail("process", "must be one of poisson, diurnal, bursty");
   }
   const double days = r.number("days", 28.0, 0.5, 366.0);
   const double rate = r.number("rate", 4.0, 0.01, 10000.0);
-  // Cross-field guard: the engine simulates millions of jobs per second,
-  // but a serve answer should still be interactive — bound the expected
-  // job count, not each factor alone.
-  if (rate * 24.0 * days > 4.0e6) {
-    r.fail("rate", "implies more than 4000000 expected jobs (rate * days * "
-                   "24); lower rate or days");
-  }
+  check_job_count(r, rate, days);
   r.integer("capacity", 16, 1, 4096);
   r.integer("start_month", 5, 0, 11);
   // samples > 0 adds savings quantiles over workload seeds (bounded: each

@@ -224,7 +224,7 @@ std::string test_socket_path(const char* name) {
 
 void expect_socket_matches_batch(net::ServerOptions opts) {
   const auto requests = fixture_requests();
-  ASSERT_EQ(requests.size(), 8u);
+  ASSERT_EQ(requests.size(), 9u);
   serve::Engine oracle;  // same defaults as the server's engine
   const auto expected = oracle.handle_batch(requests);
 

@@ -8,13 +8,18 @@
 #include <algorithm>
 
 #include "core/stats.h"
+#include "fleetsim/engine.h"
+#include "fleetsim/workload.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
-#include "sched/simulator.h"
-#include "sched/workload_gen.h"
+#include "sched/policy.h"
 
 namespace hpcarbon::sched {
 namespace {
+
+using fleetsim::FleetEngine;
+using fleetsim::FleetJobs;
+using fleetsim::FleetOutcomes;
 
 class PolicySweep : public ::testing::TestWithParam<std::string> {
  protected:
@@ -25,13 +30,13 @@ class PolicySweep : public ::testing::TestWithParam<std::string> {
     sites_ = new std::vector<Site>{make_site("ERCOT", traces[2], 64),
                                    make_site("ESO", traces[0], 64),
                                    make_site("CISO", traces[1], 64)};
-    WorkloadParams wp;
+    fleetsim::FleetWorkloadParams wp;
     wp.horizon_hours = 24 * 10;
     // Offered load ~8.4 concurrent vs 12 home slots: queueing never binds,
     // so the delay-budget property below is exact.
-    wp.arrival_rate_per_hour = 1.5;
+    wp.rate_per_hour = 1.5;
     wp.seed = 4242;
-    jobs_ = new std::vector<Job>(generate_jobs(wp));
+    jobs_ = new FleetJobs(fleetsim::generate_fleet_jobs(wp));
   }
   static void TearDownTestSuite() {
     delete sites_;
@@ -47,26 +52,25 @@ class PolicySweep : public ::testing::TestWithParam<std::string> {
     return cfg;
   }
   /// Engine + registry-made policy for the parametrized name.
-  static ScheduleMetrics run_param(SchedulingEngine& engine,
-                                   std::vector<JobOutcome>* outcomes = nullptr) {
+  static ScheduleMetrics run_param(const FleetEngine& engine,
+                                   FleetOutcomes* outcomes = nullptr) {
     const auto policy = make_policy(GetParam(), config());
     return engine.run(*jobs_, *policy, outcomes, nullptr);
   }
   static std::vector<Site>* sites_;
-  static std::vector<Job>* jobs_;
+  static FleetJobs* jobs_;
 };
 
 std::vector<Site>* PolicySweep::sites_ = nullptr;
-std::vector<Job>* PolicySweep::jobs_ = nullptr;
+FleetJobs* PolicySweep::jobs_ = nullptr;
 
 TEST_P(PolicySweep, CompletesEveryJobExactlyOnce) {
-  SchedulingEngine sim(*sites_, HourOfYear(month_start_hour(5)));
-  std::vector<JobOutcome> outcomes;
+  const FleetEngine sim(*sites_, HourOfYear(month_start_hour(5)));
+  FleetOutcomes outcomes;
   const auto m = run_param(sim, &outcomes);
   EXPECT_EQ(m.jobs_completed, static_cast<int>(jobs_->size()));
   ASSERT_EQ(outcomes.size(), jobs_->size());
-  std::vector<int> ids;
-  for (const auto& o : outcomes) ids.push_back(o.job_id);
+  std::vector<int> ids(outcomes.job_id.begin(), outcomes.job_id.end());
   std::sort(ids.begin(), ids.end());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(ids[i], static_cast<int>(i));
@@ -74,21 +78,22 @@ TEST_P(PolicySweep, CompletesEveryJobExactlyOnce) {
 }
 
 TEST_P(PolicySweep, EnergyAtLeastItDemandTimesPue) {
-  SchedulingEngine sim(*sites_, HourOfYear(month_start_hour(5)));
+  const FleetEngine sim(*sites_, HourOfYear(month_start_hour(5)));
   const auto m = run_param(sim);
   double it_kwh = 0;
-  for (const auto& j : *jobs_) {
-    it_kwh += j.it_power.to_kilowatts() * j.duration_hours;
+  for (std::size_t j = 0; j < jobs_->size(); ++j) {
+    it_kwh += jobs_->power[j].to_kilowatts() *
+              fleetsim::hours_of(jobs_->duration[j]);
   }
   EXPECT_GE(m.total_energy.to_kwh(), it_kwh * 1.2 - 1e-6);
 }
 
 TEST_P(PolicySweep, NoJobStartsBeforeSubmission) {
-  SchedulingEngine sim(*sites_, HourOfYear(month_start_hour(5)));
-  std::vector<JobOutcome> outcomes;
+  const FleetEngine sim(*sites_, HourOfYear(month_start_hour(5)));
+  FleetOutcomes outcomes;
   run_param(sim, &outcomes);
-  for (const auto& o : outcomes) {
-    EXPECT_GE(o.wait_hours, -1e-9) << "job " << o.job_id;
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_GE(outcomes.wait_hours[i], -1e-9) << "job " << outcomes.job_id[i];
   }
 }
 
@@ -98,19 +103,20 @@ TEST_P(PolicySweep, DelayPoliciesRespectTheDelayBudget) {
   if (p != "threshold-delay" && p != "forecast-delay" && p != "renewable-cap") {
     GTEST_SKIP();
   }
-  SchedulingEngine sim(*sites_, HourOfYear(month_start_hour(5)));
-  std::vector<JobOutcome> outcomes;
+  const FleetEngine sim(*sites_, HourOfYear(month_start_hour(5)));
+  FleetOutcomes outcomes;
   const auto cfg = config();
   run_param(sim, &outcomes);
-  for (const auto& o : outcomes) {
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
     // Delay budget + at most one dispatch tick of slack (capacity is never
     // binding at this load).
-    EXPECT_LE(o.wait_hours, cfg.max_delay_hours + 1.5) << "job " << o.job_id;
+    EXPECT_LE(outcomes.wait_hours[i], cfg.max_delay_hours + 1.5)
+        << "job " << outcomes.job_id[i];
   }
 }
 
 TEST_P(PolicySweep, DeterministicAcrossRuns) {
-  SchedulingEngine sim(*sites_, HourOfYear(month_start_hour(5)));
+  const FleetEngine sim(*sites_, HourOfYear(month_start_hour(5)));
   const auto a = run_param(sim);
   const auto b = run_param(sim);
   EXPECT_DOUBLE_EQ(a.total_carbon.to_grams(), b.total_carbon.to_grams());
@@ -121,25 +127,26 @@ TEST_P(PolicySweep, DeterministicAcrossRuns) {
 TEST_P(PolicySweep, NeverBeatsClairvoyantLowerBound) {
   // Lower bound: every job runs at the year-minimum intensity across all
   // sites, with no transfer cost.
-  SchedulingEngine sim(*sites_, HourOfYear(month_start_hour(5)));
+  const FleetEngine sim(*sites_, HourOfYear(month_start_hour(5)));
   const auto m = run_param(sim);
   double min_ci = 1e18;
   for (const auto& s : *sites_) {
     min_ci = std::min(min_ci, hpcarbon::stats::min(s.trace_utc.values()));
   }
   double bound_g = 0;
-  for (const auto& j : *jobs_) {
-    bound_g += j.it_power.to_kilowatts() * j.duration_hours * 1.2 * min_ci;
+  for (std::size_t j = 0; j < jobs_->size(); ++j) {
+    bound_g += jobs_->power[j].to_kilowatts() *
+               fleetsim::hours_of(jobs_->duration[j]) * 1.2 * min_ci;
   }
   EXPECT_GE(m.total_carbon.to_grams(), bound_g);
 }
 
 TEST_P(PolicySweep, PerJobCarbonSumsToTotal) {
-  SchedulingEngine sim(*sites_, HourOfYear(month_start_hour(5)));
-  std::vector<JobOutcome> outcomes;
+  const FleetEngine sim(*sites_, HourOfYear(month_start_hour(5)));
+  FleetOutcomes outcomes;
   const auto m = run_param(sim, &outcomes);
   double sum = 0;
-  for (const auto& o : outcomes) sum += o.carbon.to_grams();
+  for (const double g : outcomes.carbon_g) sum += g;
   EXPECT_NEAR(sum, m.total_carbon.to_grams(),
               1e-6 * m.total_carbon.to_grams());
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <regex>
 #include <string>
 #include <vector>
@@ -119,6 +120,29 @@ TEST(Request, StrictValidation) {
   EXPECT_THROW(parse(R"([1,2,3])"), Error);
   EXPECT_THROW(parse(R"({"op":"embodied","id":7,"params":{"part":"mi250x"}})"),
                Error);
+}
+
+TEST(Request, TrioFamiliesShareTheJobCountGuard) {
+  // 366 days x 1000 jobs/h is ~8.8M expected jobs: both trio families
+  // refuse it at validation, before any simulation, with the same bytes
+  // from the line and batch front doors. (The bound is loose for
+  // sanitizer builds; an accepted query would simulate for many seconds.)
+  for (const std::string op : {"sched", "fleetsim"}) {
+    const std::string line =
+        R"({"op":")" + op +
+        R"(","params":{"policy":"fcfs-local","days":366,"rate":1000}})";
+    Engine engine;
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::string got = engine.handle_line(line);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(got, R"({"error":"query ')" + op +
+                       R"(': parameter 'rate' implies more than 4000000 )"
+                       R"(expected jobs (rate * days * 24); lower rate or )"
+                       R"(days","ok":false})");
+    EXPECT_LT(took.count(), 1.0) << op;
+    EXPECT_EQ(engine.handle_batch({line}), std::vector<std::string>{got});
+  }
 }
 
 // --- Service answers vs direct library calls --------------------------------
