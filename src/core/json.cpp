@@ -479,6 +479,10 @@ void Reader::parse_string_payload(std::uint32_t* out_off,
       return;
     }
     if (c == '\\' || static_cast<unsigned char>(c) < 0x20) break;
+    if (static_cast<unsigned char>(c) >= 0x80) {
+      skip_utf8_sequence();
+      continue;
+    }
     ++pos_;
   }
   // Slow path: unescape into the arena, starting from the clean prefix.
@@ -496,6 +500,12 @@ void Reader::parse_string_payload(std::uint32_t* out_off,
     if (static_cast<unsigned char>(c) < 0x20) {
       --pos_;
       fail("unescaped control character in string");
+    }
+    if (static_cast<unsigned char>(c) >= 0x80) {
+      const std::size_t seq = --pos_;
+      skip_utf8_sequence();
+      arena_.append(text_.data() + seq, pos_ - seq);
+      continue;
     }
     if (c != '\\') {
       arena_.push_back(c);
@@ -517,6 +527,46 @@ void Reader::parse_string_payload(std::uint32_t* out_off,
         pos_ -= 1;
         fail("unknown escape");
     }
+  }
+}
+
+void Reader::skip_utf8_sequence() {
+  // Well-formed sequences per RFC 3629 (Unicode Table 3-7): the lead byte
+  // fixes the length and the range of the second byte, which is what
+  // rules out overlong forms, UTF-16 surrogates and code points above
+  // U+10FFFF. Errors name the byte as hex so no raw input is echoed.
+  const auto byte_error = [](unsigned char b) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    return std::string("invalid UTF-8 byte 0x") + kHex[b >> 4] +
+           kHex[b & 0xF] + " in string";
+  };
+  const auto lead = static_cast<unsigned char>(text_[pos_]);
+  unsigned char lo = 0x80;
+  unsigned char hi = 0xBF;
+  int tail = 0;
+  if (lead >= 0xC2 && lead <= 0xDF) {
+    tail = 1;
+  } else if (lead >= 0xE0 && lead <= 0xEF) {
+    tail = 2;
+    if (lead == 0xE0) lo = 0xA0;  // overlong below U+0800
+    if (lead == 0xED) hi = 0x9F;  // surrogates U+D800..U+DFFF
+  } else if (lead >= 0xF0 && lead <= 0xF4) {
+    tail = 3;
+    if (lead == 0xF0) lo = 0x90;  // overlong below U+10000
+    if (lead == 0xF4) hi = 0x8F;  // above U+10FFFF
+  } else {
+    fail(byte_error(lead));  // stray continuation, C0/C1, F5..FF
+  }
+  ++pos_;
+  for (int i = 0; i < tail; ++i) {
+    const auto b = pos_ < text_.size()
+                       ? static_cast<unsigned char>(text_[pos_])
+                       : static_cast<unsigned char>(0);
+    if ((b & 0xC0) != 0x80) fail("truncated UTF-8 sequence in string");
+    if (b < lo || b > hi) fail(byte_error(b));
+    ++pos_;
+    lo = 0x80;
+    hi = 0xBF;
   }
 }
 

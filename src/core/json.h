@@ -203,6 +203,9 @@ class Reader {
   /// into the out-params. Zero-copy when the literal has no escapes.
   void parse_string_payload(std::uint32_t* off, std::uint32_t* len,
                             bool* in_arena);
+  /// Step pos_ past one well-formed multi-byte UTF-8 sequence starting
+  /// at pos_; fails at the offending byte otherwise.
+  void skip_utf8_sequence();
   unsigned parse_hex4();
   unsigned parse_hex4_or_surrogate_pair();
   void append_codepoint(unsigned cp);

@@ -1,24 +1,46 @@
 #include "grid/forecast.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/error.h"
 
 namespace hpcarbon::grid {
 
-double Forecast::predict_window(HourOfYear origin, int start_h,
-                                double duration_h) const {
+namespace {
+
+/// Mean of `predict_hour(h)` over [start_h, start_h + duration_h): whole
+/// hours weigh 1, the trailing partial hour its fraction, summed in hour
+/// order. Every window in this file goes through here, so the snapshot
+/// path and the per-hour path add the same terms in the same order.
+template <class PredictHour>
+double window_mean(int start_h, double duration_h,
+                   const PredictHour& predict_hour) {
   HPC_REQUIRE(duration_h > 0, "window duration must be positive");
   double acc = 0;
   double remaining = duration_h;
   int h = start_h;
   while (remaining > 0) {
     const double w = remaining >= 1.0 ? 1.0 : remaining;
-    acc += predict(origin, h) * w;
+    acc += predict_hour(h) * w;
     remaining -= w;
     ++h;
   }
   return acc / duration_h;
+}
+
+}  // namespace
+
+double Forecast::predict_window(HourOfYear origin, int start_h,
+                                double duration_h) const {
+  return window_mean(start_h, duration_h,
+                     [&](int h) { return predict(origin, h); });
+}
+
+double DiurnalTemplateForecast::Snapshot::window(int start_h,
+                                                 double duration_h) const {
+  return window_mean(start_h, duration_h,
+                     [&](int h) { return predict(h); });
 }
 
 PersistenceForecast::PersistenceForecast(const CarbonIntensityTrace& trace)
@@ -55,19 +77,31 @@ std::array<double, kHoursPerDay> DiurnalTemplateForecast::hourly_template(
   return tmpl;
 }
 
-double DiurnalTemplateForecast::predict(HourOfYear origin,
-                                        int horizon_hours) const {
+DiurnalTemplateForecast::Snapshot DiurnalTemplateForecast::snapshot(
+    HourOfYear origin) const {
   const auto tmpl = hourly_template(origin);
-  const HourOfYear target = origin.shifted(horizon_hours);
-  const double template_value =
-      tmpl[static_cast<std::size_t>(target.hour_of_day())];
   // Level correction: shift toward the latest observation's deviation from
   // its own template slot (persistence of the weather regime).
   const HourOfYear last = origin.shifted(-1);
   const double last_dev =
       trace_->at(last).to_g_per_kwh() -
       tmpl[static_cast<std::size_t>(last.hour_of_day())];
-  return std::max(0.0, template_value + level_blend_ * last_dev);
+  Snapshot snap;
+  snap.origin_ = origin;
+  for (std::size_t i = 0; i < snap.by_hour_.size(); ++i) {
+    snap.by_hour_[i] = std::max(0.0, tmpl[i] + level_blend_ * last_dev);
+  }
+  return snap;
+}
+
+double DiurnalTemplateForecast::predict(HourOfYear origin,
+                                        int horizon_hours) const {
+  return snapshot(origin).predict(horizon_hours);
+}
+
+double DiurnalTemplateForecast::predict_window(HourOfYear origin, int start_h,
+                                               double duration_h) const {
+  return snapshot(origin).window(start_h, duration_h);
 }
 
 ForecastSkill evaluate(const Forecast& forecast,

@@ -153,15 +153,19 @@ class ForecastDelayPolicy : public SchedulingPolicy {
                  const ClusterView& view) override {
     forecast_ = std::make_unique<grid::DiurnalTemplateForecast>(
         view.site(0).trace_utc, window_days_);
+    snapshot_.reset();
   }
   double planned_start(const Job& job, const ClusterView& view) override {
+    // Every arrival in one hour shares an origin: forecast once per hour.
     const HourOfYear origin = view.hour_at(job.submit_hour);
+    if (!snapshot_ || snapshot_->origin() != origin) {
+      snapshot_ = forecast_->snapshot(origin);
+    }
     int best_offset = 0;
     double best_ci = std::numeric_limits<double>::infinity();
     const int max_w = static_cast<int>(max_delay_);
     for (int w = 0; w <= max_w; ++w) {
-      const double ci = forecast_->predict_window(origin, w,
-                                                  job.duration_hours);
+      const double ci = snapshot_->window(w, job.duration_hours);
       if (ci < best_ci) {
         best_ci = ci;
         best_offset = w;
@@ -184,6 +188,7 @@ class ForecastDelayPolicy : public SchedulingPolicy {
   double max_delay_;
   int window_days_;
   std::unique_ptr<grid::DiurnalTemplateForecast> forecast_;
+  std::optional<grid::DiurnalTemplateForecast::Snapshot> snapshot_;
 };
 
 /// Cross-region dispatch only when the current intensity gap times the
@@ -231,6 +236,7 @@ class ForecastNetBenefitPolicy : public SchedulingPolicy {
       forecasts_.push_back(std::make_unique<grid::DiurnalTemplateForecast>(
           view.site(s).trace_utc, window_days_));
     }
+    snapshots_.assign(view.site_count(), std::nullopt);
   }
   std::optional<DispatchDecision> select(const std::vector<PendingJob>& queue,
                                          const ClusterView& view) override {
@@ -243,8 +249,12 @@ class ForecastNetBenefitPolicy : public SchedulingPolicy {
     double best_cost = std::numeric_limits<double>::infinity();
     for (std::size_t s = 0; s < view.site_count(); ++s) {
       if (view.free_slots(s) <= 0) continue;
-      const double predicted_ci =
-          forecasts_[s]->predict_window(origin, 0, j.duration_hours);
+      // One snapshot per site per hour, taken only for sites with room.
+      auto& snap = snapshots_[s];
+      if (!snap || snap->origin() != origin) {
+        snap = forecasts_[s]->snapshot(origin);
+      }
+      const double predicted_ci = snap->window(0, j.duration_hours);
       const double transfer_g =
           s == 0 ? 0.0
                  : view.site(s).transfer_energy.to_kwh() * view.current_ci(s);
@@ -262,6 +272,8 @@ class ForecastNetBenefitPolicy : public SchedulingPolicy {
  private:
   int window_days_;
   std::vector<std::unique_ptr<grid::DiurnalTemplateForecast>> forecasts_;
+  std::vector<std::optional<grid::DiurnalTemplateForecast::Snapshot>>
+      snapshots_;
 };
 
 /// Throttle dispatch while the rolling emission rate exceeds a cap: a

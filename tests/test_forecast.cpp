@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <vector>
+
 #include "core/error.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
@@ -90,6 +95,109 @@ TEST(Forecast, LevelBlendTracksRegimeShift) {
   DiurnalTemplateForecast pure(trace, 14, 0.0);
   const HourOfYear origin(100 * 24);
   EXPECT_GT(blended.predict(origin, 3), pure.predict(origin, 3));
+}
+
+/// The hour-by-hour implementation the snapshot replaced, kept verbatim as
+/// the oracle: rebuild the template for every predicted hour, then sum the
+/// window one predict() at a time.
+double oracle_predict(const CarbonIntensityTrace& trace, int window_days,
+                      double level_blend, HourOfYear origin,
+                      int horizon_hours) {
+  std::array<double, kHoursPerDay> sum{};
+  std::array<int, kHoursPerDay> count{};
+  for (int back = 1; back <= window_days * kHoursPerDay; ++back) {
+    const HourOfYear h = origin.shifted(-back);
+    sum[static_cast<std::size_t>(h.hour_of_day())] +=
+        trace.at(h).to_g_per_kwh();
+    ++count[static_cast<std::size_t>(h.hour_of_day())];
+  }
+  std::array<double, kHoursPerDay> tmpl{};
+  for (int i = 0; i < kHoursPerDay; ++i) {
+    const auto iu = static_cast<std::size_t>(i);
+    tmpl[iu] = count[iu] > 0 ? sum[iu] / count[iu] : 0.0;
+  }
+  const HourOfYear target = origin.shifted(horizon_hours);
+  const double template_value =
+      tmpl[static_cast<std::size_t>(target.hour_of_day())];
+  const HourOfYear last = origin.shifted(-1);
+  const double last_dev =
+      trace.at(last).to_g_per_kwh() -
+      tmpl[static_cast<std::size_t>(last.hour_of_day())];
+  return std::max(0.0, template_value + level_blend * last_dev);
+}
+
+double oracle_window(const CarbonIntensityTrace& trace, int window_days,
+                     double level_blend, HourOfYear origin, int start_h,
+                     double duration_h) {
+  double acc = 0;
+  double remaining = duration_h;
+  int h = start_h;
+  while (remaining > 0) {
+    const double w = remaining >= 1.0 ? 1.0 : remaining;
+    acc += oracle_predict(trace, window_days, level_blend, origin, h) * w;
+    remaining -= w;
+    ++h;
+  }
+  return acc / duration_h;
+}
+
+/// Jagged, occasionally zero intensities: with level_blend 1 a drop in
+/// the last observed hour drives raw predictions below zero, so the clamp
+/// is exercised too.
+CarbonIntensityTrace jagged_trace() {
+  std::vector<double> v(kHoursPerYear);
+  for (int i = 0; i < kHoursPerYear; ++i) {
+    const double wave = 250.0 * std::sin(0.7 * i) * ((i / 37) % 3);
+    v[static_cast<size_t>(i)] = i % 11 == 0 ? 0.0 : std::max(0.0, 300 + wave);
+  }
+  return CarbonIntensityTrace("JAG", kUtc, v);
+}
+
+TEST(Forecast, SnapshotWindowsMatchHourByHourOracleBitForBit) {
+  const auto ciso_trace = GridSimulator(ciso()).run();
+  const auto jag = jagged_trace();
+  for (const CarbonIntensityTrace* trace : {&ciso_trace, &jag}) {
+    for (const int window_days : {1, 14}) {
+      for (const double blend : {0.0, 0.3, 1.0}) {
+        const DiurnalTemplateForecast f(*trace, window_days, blend);
+        for (const int o : {0, 1, 2, 3, 8757, 8758, 8759}) {
+          const HourOfYear origin(o);
+          const auto snap = f.snapshot(origin);
+          EXPECT_EQ(snap.origin(), origin);
+          for (int h = -2; h < 48; ++h) {
+            const double want =
+                oracle_predict(*trace, window_days, blend, origin, h);
+            EXPECT_EQ(f.predict(origin, h), want);
+            EXPECT_EQ(snap.predict(h), f.predict(origin, h));
+          }
+          for (int start = 0; start <= 12; ++start) {
+            for (const double dur : {0.25, 1.0, 3.5, 30.0}) {
+              const double want = oracle_window(*trace, window_days, blend,
+                                                origin, start, dur);
+              EXPECT_EQ(f.predict_window(origin, start, dur), want)
+                  << trace->region_code() << " days " << window_days
+                  << " blend " << blend << " origin " << o << " start "
+                  << start << " dur " << dur;
+              EXPECT_EQ(snap.window(start, dur), want);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Forecast, PersistenceWindowKeepsTheHourLoop) {
+  const auto trace = jagged_trace();
+  const PersistenceForecast f(trace);
+  const HourOfYear origin(8758);
+  const double last = trace.at(origin.shifted(-1)).to_g_per_kwh();
+  // Every hour predicts `last`; the partial-hour weights must still sum
+  // the same terms the hour loop does.
+  double acc = 0;
+  for (const double w : {1.0, 1.0, 1.0, 0.5}) acc += last * w;
+  EXPECT_EQ(f.predict_window(origin, 5, 3.5), acc / 3.5);
+  EXPECT_THROW(f.predict_window(origin, 0, 0.0), Error);
 }
 
 TEST(Forecast, Validation) {

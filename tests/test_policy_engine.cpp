@@ -218,6 +218,47 @@ TEST(ForecastNetBenefit, RoutesToPredictedCleanerSite) {
   EXPECT_LT(m_fnb.total_carbon.to_grams(), m_nb.total_carbon.to_grams());
 }
 
+void expect_metrics_bit_equal(const ScheduleMetrics& a,
+                              const ScheduleMetrics& b,
+                              const std::string& what) {
+  EXPECT_EQ(a.total_carbon.to_grams(), b.total_carbon.to_grams()) << what;
+  EXPECT_EQ(a.transfer_carbon.to_grams(), b.transfer_carbon.to_grams())
+      << what;
+  EXPECT_EQ(a.total_energy.to_kwh(), b.total_energy.to_kwh()) << what;
+  EXPECT_EQ(a.mean_wait_hours, b.mean_wait_hours) << what;
+  EXPECT_EQ(a.p95_wait_hours, b.p95_wait_hours) << what;
+  EXPECT_EQ(a.utilization, b.utilization) << what;
+  EXPECT_EQ(a.jobs_completed, b.jobs_completed) << what;
+  EXPECT_EQ(a.remote_dispatches, b.remote_dispatches) << what;
+}
+
+TEST(ForecastPolicies, SnapshotMemoIsResetBetweenRuns) {
+  // The forecast policies keep the last per-hour forecast snapshot. Run A
+  // ends and run B starts on the same hour of the year (epochs 12 h
+  // apart, arrivals 12 h apart) but B's home grid is A's mirror image, so
+  // a snapshot carried over from A would mis-plan every job in B.
+  const HourOfYear epoch_a(60 * 24);
+  const HourOfYear epoch_b = epoch_a.shifted(12);
+  const auto flat = constant_trace("FLAT", 275.0);
+  FleetEngine engine_a({make_site("SQ", square_trace("SQ", 50, 500), 4),
+                        make_site("FLAT", flat, 4,
+                                  Energy::kilowatt_hours(0.01))},
+                       epoch_a, op::PueModel(1.0));
+  FleetEngine engine_b({make_site("INV", square_trace("INV", 500, 50), 4),
+                        make_site("FLAT", flat, 4,
+                                  Energy::kilowatt_hours(0.01))},
+                       epoch_b, op::PueModel(1.0));
+  const FleetJobs jobs_a = user_jobs(4, 1.0, 2.0, [](int) { return 20.0; });
+  const FleetJobs jobs_b = user_jobs(4, 1.0, 2.0, [](int) { return 8.0; });
+  for (const char* name : {"forecast-delay", "forecast-net-benefit"}) {
+    const auto reused = make_policy(name, PolicyConfig{});
+    (void)engine_a.run(jobs_a, *reused);
+    const auto second = engine_b.run(jobs_b, *reused);
+    const auto fresh = make_policy(name, PolicyConfig{});
+    expect_metrics_bit_equal(second, engine_b.run(jobs_b, *fresh), name);
+  }
+}
+
 TEST(RenewableCap, ThrottlesBurnRateWithinWindow) {
   // Constant grid, huge burst of jobs: uncapped FCFS burns everything
   // up-front; the cap spreads starts so no rolling window exceeds the

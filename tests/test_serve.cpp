@@ -386,6 +386,24 @@ TEST(Engine, ErrorResponsesEchoTheIdAndAreNotCached) {
   EXPECT_EQ(engine.cache_stats().inserts, 0u);
 }
 
+TEST(Engine, InvalidUtf8IsRejectedWithoutEchoingRawBytes) {
+  // Raw 0xFF 0xFE in the id: never valid UTF-8, so the line must fail to
+  // parse, and the answer must not carry the bytes back out.
+  const std::string probe =
+      "{\"op\":\"embodied\",\"id\":\"\xff\xfe\","
+      "\"params\":{\"part\":\"a100-pcie-40\"}}";
+  Engine engine;
+  const std::string response = engine.handle_line(probe);
+  EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
+  EXPECT_NE(response.find("invalid UTF-8 byte 0xff"), std::string::npos)
+      << response;
+  for (const char c : response) {
+    EXPECT_LT(static_cast<unsigned char>(c), 0x80) << response;
+  }
+  EXPECT_EQ(engine.handle_batch({probe}).front(), response);
+  EXPECT_EQ(engine.cache_stats().inserts, 0u);
+}
+
 TEST(Engine, CacheHitsReturnIdenticalBytes) {
   Engine engine;
   const std::string first = engine.handle_line(family_lines()[0]);
