@@ -81,7 +81,6 @@ int cmd_metrics(int argc, char** argv) {
     // engine registers the full instrument catalog (all zeros), which is
     // exactly what a format smoke wants to see.
     serve::Engine engine;
-    engine.sync_metrics();
     std::cout << obs::to_prometheus(engine.registry().snapshot());
     return 0;
   }

@@ -160,7 +160,6 @@ bool parse_net_flag(const std::string& arg, int argc, char** argv, int& i,
 /// One-line operational summary on stderr, assembled from the engine's
 /// obs registry (stderr only — stdout is the data plane).
 void print_stats_summary(serve::Engine& engine) {
-  engine.sync_metrics();
   std::uint64_t requests = 0;
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
@@ -221,12 +220,11 @@ class PeriodicStats {
 };
 
 /// `--metrics-unix PATH`: Prometheus scrape endpoint over the engine's
-/// registry, mirroring cache/trace counters before every snapshot.
+/// registry.
 std::unique_ptr<obs::ScrapeServer> start_scrape_server(
     const std::string& path, serve::Engine& engine) {
   if (path.empty()) return nullptr;
-  auto scrape = std::make_unique<obs::ScrapeServer>(
-      path, &engine.registry(), [&engine] { engine.sync_metrics(); });
+  auto scrape = std::make_unique<obs::ScrapeServer>(path, &engine.registry());
   scrape->start();
   std::cerr << "hpcarbon serve: metrics on unix " << path << "\n";
   return scrape;
@@ -308,14 +306,6 @@ int serve_pipe(const FrontEndOptions& opts) {
 int serve_sockets(const FrontEndOptions& opts) {
   net::ServerOptions sopts;
   sopts.serve = opts.serve;
-  // Daemon uptime: the stats op's uptime_s field and the
-  // hpcarbon_process_uptime_seconds gauge (whole seconds since start).
-  const auto started = std::chrono::steady_clock::now();
-  sopts.serve.uptime = [started] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         started)
-        .count();
-  };
   sopts.tcp = opts.listen;
   sopts.unix_path = opts.unix_path;
   sopts.workers = opts.workers;
@@ -325,6 +315,10 @@ int serve_sockets(const FrontEndOptions& opts) {
 
   net::Server server(std::move(sopts));
   server.start();
+  obs::process_start_time_seconds(server.engine().registry())
+      .set(std::chrono::duration_cast<std::chrono::seconds>(
+               std::chrono::system_clock::now().time_since_epoch())
+               .count());
   const std::unique_ptr<obs::ScrapeServer> scrape =
       start_scrape_server(opts.metrics_unix, server.engine());
   PeriodicStats reporter(server.engine(), opts.stats_interval_s);

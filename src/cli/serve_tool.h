@@ -15,15 +15,18 @@
 //
 // Responses are bit-identical across all three front-ends (and across
 // thread counts); `batch` additionally prints a one-line cache summary to
-// stderr, and the `{"op":"stats"}` control request reports engine
-// counters plus net_* transport counters in-band (zeros in pipe/batch
-// mode, where there is no transport). All front-ends share the
+// stderr, and the `{"op":"stats"}` control request reports cache, trace
+// store and net_* transport counters in-band (net_* read zero in
+// pipe/batch mode, where there is no transport). All front-ends share the
 // serve::kMaxRequestLineBytes line limit: an oversized request line is
 // answered with an ok:false response reporting its byte count.
 //
-// Observability (README "Observability"): `{"op":"metrics"}` returns the
-// full obs registry as JSON; `--metrics-unix PATH` exposes a Prometheus
-// scrape socket (read with `hpcarbon metrics --unix PATH`); and
+// Observability (README "Observability"): every counter lives in the obs
+// registry, recorded where it happens. `{"op":"metrics"}` returns the
+// registry as JSON and `{"op":"stats"}` a fixed projection of it;
+// `--metrics-unix PATH` exposes a Prometheus scrape socket (read with
+// `hpcarbon metrics --unix PATH`); the socket daemon sets
+// hpcarbon_process_start_time_seconds once at start; and
 // `--stats-interval SECS` prints a one-line operational summary to
 // stderr every interval.
 #pragma once

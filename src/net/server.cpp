@@ -50,6 +50,24 @@ obs::MetricsRegistry& registry_of(const ServerOptions& opts) {
 
 }  // namespace
 
+FrontEndStats::FrontEndStats(obs::MetricsRegistry& registry)
+    : connections_accepted(registry.counter(
+          "hpcarbon_net_connections_accepted_total", "",
+          "Connections accepted by the socket front-end.")),
+      connections_active(
+          registry.gauge("hpcarbon_net_connections_active", "",
+                         "Currently open client connections.")),
+      requests_shed(
+          registry.counter("hpcarbon_net_requests_shed_total", "",
+                           "Requests rejected by overload shedding.")),
+      bytes_in(registry.counter("hpcarbon_net_bytes_in_total", "",
+                                "Request bytes read from clients.")),
+      bytes_out(registry.counter("hpcarbon_net_bytes_out_total", "",
+                                 "Response bytes written to clients.")),
+      max_inflight(
+          registry.gauge("hpcarbon_net_max_inflight", "",
+                         "High-water mark of requests in flight.")) {}
+
 struct Server::Conn {
   explicit Conn(std::size_t max_line_bytes) : framer(max_line_bytes) {}
 
@@ -86,7 +104,7 @@ Server::Server(ServerOptions opts)
           "hpcarbon_net_conn_lifetime_us", "",
           "Connection lifetime, accept to close (overflow bucket past "
           "100 s).")),
-      engine_((opts_.serve.frontend = &fe_stats_, opts_.serve)) {}
+      engine_(opts_.serve) {}
 
 Server::~Server() {
   close_listeners();
@@ -566,12 +584,9 @@ bool Server::try_submit(std::shared_ptr<Conn> c, Slot* slot) {
     const std::size_t inflight = task_queue_.size() + executing_;
     if (inflight >= opts_.max_inflight) return false;
     task_queue_.push_back(Task{std::move(c), slot});
-    const auto seen = static_cast<std::uint64_t>(inflight + 1);
-    queue_depth_.set(static_cast<std::int64_t>(seen));
-    if (seen > max_inflight_seen_) {
-      max_inflight_seen_ = seen;
-      fe_stats_.max_inflight.observe_max(static_cast<std::int64_t>(seen));
-    }
+    const auto seen = static_cast<std::int64_t>(inflight + 1);
+    queue_depth_.set(seen);
+    fe_stats_.max_inflight.observe_max(seen);
   }
   task_cv_.notify_one();
   return true;

@@ -62,9 +62,26 @@
 
 namespace hpcarbon::net {
 
+/// Front-end transport instruments (the hpcarbon_net_* obs domain), which
+/// {"op":"stats"} reports as the net_* fields. The server registers them
+/// in its engine's registry and updates them from its event loop and
+/// workers. Each is a monotonic tally, a level, or a high-water mark,
+/// never a cross-field invariant.
+struct FrontEndStats {
+  /// Registers (idempotently) the series in `registry`.
+  explicit FrontEndStats(obs::MetricsRegistry& registry);
+
+  obs::Counter& connections_accepted;
+  obs::Gauge& connections_active;
+  obs::Counter& requests_shed;
+  obs::Counter& bytes_in;
+  obs::Counter& bytes_out;
+  obs::Gauge& max_inflight;
+};
+
 struct ServerOptions {
-  /// Engine configuration (cache geometry, trace store). The server
-  /// installs its own FrontEndStats into `serve.frontend`.
+  /// Engine configuration (cache geometry, trace store, metrics
+  /// registry — the transport instruments register there too).
   serve::ServeOptions serve;
 
   /// TCP listen address "host:port" (port 0 = ephemeral; see
@@ -127,7 +144,7 @@ class Server {
   void begin_drain();
 
   /// Transport counters ({"op":"stats"} reports these as net_*).
-  const serve::FrontEndStats& stats() const { return fe_stats_; }
+  const FrontEndStats& stats() const { return fe_stats_; }
   serve::Engine& engine() { return engine_; }
   const ServerOptions& options() const { return opts_; }
 
@@ -171,7 +188,7 @@ class Server {
   void wake();
 
   ServerOptions opts_;
-  serve::FrontEndStats fe_stats_;
+  FrontEndStats fe_stats_;
   // Transport instruments beyond the stats-op net_* set, registered in
   // the same registry as fe_stats_ (serve.registry or the global one):
   // connection churn, live queue depth, and per-connection lifetime.
@@ -201,7 +218,6 @@ class Server {
   std::condition_variable_any task_cv_;
   std::deque<Task> task_queue_ HPCARBON_GUARDED_BY(task_mu_);
   std::size_t executing_ HPCARBON_GUARDED_BY(task_mu_) = 0;
-  std::uint64_t max_inflight_seen_ HPCARBON_GUARDED_BY(task_mu_) = 0;
   bool workers_stop_ HPCARBON_GUARDED_BY(task_mu_) = false;
 
   AnnotatedMutex done_mu_;

@@ -85,13 +85,6 @@ std::uint64_t Counter::value() const {
   return total;
 }
 
-void Counter::advance_to(std::uint64_t target) {
-  const std::uint64_t current = value();
-  if (target > current) {
-    stripes_[0].v.fetch_add(target - current, std::memory_order_relaxed);
-  }
-}
-
 // --------------------------------------------------------------------------
 // Gauge
 
@@ -279,6 +272,12 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
 std::size_t MetricsRegistry::size() const {
   MutexLock lock(mu_);
   return order_.size();
+}
+
+Gauge& process_start_time_seconds(MetricsRegistry& registry) {
+  return registry.gauge("hpcarbon_process_start_time_seconds", "",
+                        "Daemon start time, Unix seconds (0 for the "
+                        "pipe/batch front-ends).");
 }
 
 }  // namespace hpcarbon::obs

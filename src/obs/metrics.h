@@ -18,6 +18,12 @@
 //    registry's own mutex is touched at registration and scrape only,
 //    never per request.
 //
+// Each count is kept once: the subsystem that sees the event (the result
+// cache, the trace store, the socket server) records it into the
+// instrument that reports it. There is no subsystem-side tally to mirror
+// in before a scrape, so {"op":"stats"}, {"op":"metrics"} and the
+// Prometheus exposition all read one snapshot.
+//
 // Registration is idempotent by (name, labels) and insertion-ordered, so
 // every front-end that registers the same instruments in the same
 // construction order exposes the same metric set — the property behind
@@ -99,13 +105,6 @@ class Counter {
 
   /// Sum over stripes (one relaxed pass; exact once writers quiesce).
   std::uint64_t value() const;
-
-  /// Raise the counter to `target` (no-op when already past it): the
-  /// scrape-time bridge for subsystems that keep their own authoritative
-  /// counters (the cache shards, the trace store) — their totals are
-  /// mirrored into obs with zero hot-path cost. Concurrent advance_to
-  /// calls must be serialized by the caller (the engine's scrape mutex).
-  void advance_to(std::uint64_t target);
 
  private:
   struct alignas(64) Stripe {
@@ -276,5 +275,11 @@ class MetricsRegistry {
   std::deque<Gauge> gauges_ HPCARBON_GUARDED_BY(mu_);
   std::deque<Histogram> histograms_ HPCARBON_GUARDED_BY(mu_);
 };
+
+/// The standard Prometheus `process_start_time_seconds` gauge, under the
+/// hpcarbon_ prefix: Unix time the daemon started, set once by the socket
+/// front-end (0 in pipe/batch mode). Scrapers derive uptime from it, so
+/// nothing updates it per scrape.
+Gauge& process_start_time_seconds(MetricsRegistry& registry);
 
 }  // namespace hpcarbon::obs

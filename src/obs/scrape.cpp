@@ -13,11 +13,9 @@
 
 namespace hpcarbon::obs {
 
-ScrapeServer::ScrapeServer(std::string unix_path, MetricsRegistry* registry,
-                           std::function<void()> pre_scrape)
+ScrapeServer::ScrapeServer(std::string unix_path, MetricsRegistry* registry)
     : path_(std::move(unix_path)),
-      registry_(registry != nullptr ? registry : &MetricsRegistry::global()),
-      pre_scrape_(std::move(pre_scrape)) {}
+      registry_(registry != nullptr ? registry : &MetricsRegistry::global()) {}
 
 ScrapeServer::~ScrapeServer() { stop(); }
 
@@ -60,7 +58,6 @@ void ScrapeServer::accept_loop() {
       if (errno == EINTR) continue;
       return;  // listener closed by stop(): drain and exit
     }
-    if (pre_scrape_) pre_scrape_();
     const std::string body = to_prometheus(registry_->snapshot());
     std::size_t off = 0;
     while (off < body.size()) {

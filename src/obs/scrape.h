@@ -3,9 +3,9 @@
 // The daemon's data plane speaks line-delimited JSON; operators' scrape
 // tooling wants Prometheus text. Rather than multiplexing the two on one
 // socket, the daemon exposes a second, trivially simple endpoint: each
-// connection receives one full Prometheus exposition of the registry
-// (after an optional pre-scrape sync hook — the engine mirrors its cache
-// and trace counters into obs there) and is closed. `hpcarbon metrics
+// connection receives one full Prometheus exposition of the registry and
+// is closed. Every subsystem records into the registry at the event, so a
+// scrape is a plain snapshot with no sync step. `hpcarbon metrics
 // --unix PATH` and any netcat-style scraper read it without speaking a
 // protocol; the CI loopback smoke validates the format with
 // tools/check_prometheus.py.
@@ -15,7 +15,6 @@
 // scrape every few seconds is not a data plane.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <thread>
 
@@ -25,11 +24,9 @@ namespace hpcarbon::obs {
 
 class ScrapeServer {
  public:
-  /// `registry` nullptr selects MetricsRegistry::global(). `pre_scrape`
-  /// (may be empty) runs before every snapshot, on the scrape thread.
+  /// `registry` nullptr selects MetricsRegistry::global().
   explicit ScrapeServer(std::string unix_path,
-                        MetricsRegistry* registry = nullptr,
-                        std::function<void()> pre_scrape = {});
+                        MetricsRegistry* registry = nullptr);
   ~ScrapeServer();  // stop() + join + unlink
 
   ScrapeServer(const ScrapeServer&) = delete;
@@ -48,7 +45,6 @@ class ScrapeServer {
 
   std::string path_;
   MetricsRegistry* registry_;
-  std::function<void()> pre_scrape_;
   int listen_fd_ = -1;
   std::thread thread_;
 };

@@ -1,6 +1,7 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <map>
 #include <unordered_map>
 #include <utility>
 
@@ -384,6 +385,27 @@ Planned plan_line(std::string_view line) {
   return p;
 }
 
+/// {"op":"stats"} field -> the series it reads. The hpcarbon_net_* series
+/// exist only under the socket front-end; pipe and batch read them as 0,
+/// so the field set is the same everywhere.
+constexpr std::pair<const char*, const char*> kStatsFields[] = {
+    {"bytes", "hpcarbon_cache_bytes"},
+    {"entries", "hpcarbon_cache_entries"},
+    {"evictions", "hpcarbon_cache_evictions_total"},
+    {"hits", "hpcarbon_cache_hits_total"},
+    {"inserts", "hpcarbon_cache_inserts_total"},
+    {"misses", "hpcarbon_cache_misses_total"},
+    {"net_accepted", "hpcarbon_net_connections_accepted_total"},
+    {"net_active", "hpcarbon_net_connections_active"},
+    {"net_bytes_in", "hpcarbon_net_bytes_in_total"},
+    {"net_bytes_out", "hpcarbon_net_bytes_out_total"},
+    {"net_max_inflight", "hpcarbon_net_max_inflight"},
+    {"net_shed", "hpcarbon_net_requests_shed_total"},
+    {"trace_entries", "hpcarbon_trace_store_entries"},
+    {"trace_hits", "hpcarbon_trace_store_hits_total"},
+    {"trace_misses", "hpcarbon_trace_store_misses_total"},
+};
+
 }  // namespace
 
 void append_error_response(std::string& out, std::string_view id,
@@ -415,26 +437,9 @@ json::Value evaluate(const Query& q, TraceStore& traces) {
   throw Error("unknown op '" + q.op + "'");
 }
 
-FrontEndStats::FrontEndStats(obs::MetricsRegistry& registry)
-    : connections_accepted(registry.counter(
-          "hpcarbon_net_connections_accepted_total", "",
-          "Connections accepted by the socket front-end.")),
-      connections_active(
-          registry.gauge("hpcarbon_net_connections_active", "",
-                         "Currently open client connections.")),
-      requests_shed(
-          registry.counter("hpcarbon_net_requests_shed_total", "",
-                           "Requests rejected by overload shedding.")),
-      bytes_in(registry.counter("hpcarbon_net_bytes_in_total", "",
-                                "Request bytes read from clients.")),
-      bytes_out(registry.counter("hpcarbon_net_bytes_out_total", "",
-                                 "Response bytes written to clients.")),
-      max_inflight(
-          registry.gauge("hpcarbon_net_max_inflight", "",
-                         "High-water mark of requests in flight.")) {}
-
 Engine::Engine(ServeOptions opts)
-    : opts_(std::move(opts)), cache_(opts_.cache_shards, opts_.cache_bytes) {
+    : opts_(std::move(opts)),
+      cache_(opts_.cache_shards, opts_.cache_bytes, registry()) {
   register_instruments();
 }
 
@@ -453,10 +458,11 @@ obs::MetricsRegistry& Engine::registry() const {
 
 void Engine::register_instruments() {
   obs::MetricsRegistry& reg = registry();
-  // Registration order is fixed (families in documentation order, then
-  // the pseudo-families, then the mirrored subsystem instruments) so
-  // every engine, whatever its transport, exposes the same metric set in
-  // the same order — see the idle-snapshot contract in obs/metrics.h.
+  // Registration order is fixed (the cache's series at its construction,
+  // then the families in documentation order, the pseudo-families, and
+  // the rest) so every engine, whatever its transport, exposes the same
+  // metric set in the same order — see the idle-snapshot contract in
+  // obs/metrics.h.
   const std::vector<std::string> families = query_families();
   HPC_REQUIRE(families.size() == kFamilyCount,
               "engine instrument slots out of sync with query_families()");
@@ -488,77 +494,23 @@ void Engine::register_instruments() {
       &reg.counter("hpcarbon_serve_requests_total", label("error"),
                    "Requests answered, by family.");
 
-  // Mirrored instruments: the cache shards and the trace store keep their
-  // own authoritative counters; sync_metrics() copies them in at scrape
-  // time (advance_to / set), so the query hot path never double-counts.
-  cache_hits_ = &reg.counter("hpcarbon_cache_hits_total", "",
-                             "ResultCache hits (mirrored at scrape).");
-  cache_misses_ = &reg.counter("hpcarbon_cache_misses_total", "",
-                               "ResultCache misses (mirrored at scrape).");
-  cache_evictions_ = &reg.counter("hpcarbon_cache_evictions_total", "",
-                                  "ResultCache evictions (mirrored at scrape).");
-  cache_inserts_ = &reg.counter("hpcarbon_cache_inserts_total", "",
-                                "ResultCache inserts (mirrored at scrape).");
-  cache_entries_ =
-      &reg.gauge("hpcarbon_cache_entries", "", "Cached results resident.");
-  cache_bytes_ =
-      &reg.gauge("hpcarbon_cache_bytes", "", "Cached result bytes resident.");
-  shard_entries_.clear();
-  shard_bytes_.clear();
-  for (std::size_t i = 0; i < cache_.shard_count(); ++i) {
-    const std::string l = "shard=\"" + std::to_string(i) + "\"";
-    shard_entries_.push_back(
-        &reg.gauge("hpcarbon_cache_shard_entries", l,
-                   "Cached results resident, by shard."));
-    shard_bytes_.push_back(&reg.gauge("hpcarbon_cache_shard_bytes", l,
-                                      "Cached result bytes, by shard."));
-  }
-  trace_hits_ = &reg.counter("hpcarbon_trace_store_hits_total", "",
-                             "TraceStore hits (mirrored at scrape).");
-  trace_misses_ = &reg.counter("hpcarbon_trace_store_misses_total", "",
-                               "TraceStore misses (mirrored at scrape).");
-  trace_entries_ =
-      &reg.gauge("hpcarbon_trace_store_entries", "", "Traces resident.");
-
   reg.gauge("hpcarbon_build_info",
             "version=\"" + obs::build_fingerprint() + "\"",
             "Build fingerprint; value is always 1.")
       .set(1);
-  uptime_seconds_ = &reg.gauge(
-      "hpcarbon_process_uptime_seconds", "",
-      "Daemon uptime (whole seconds; 0 for the pipe/batch front-ends).");
+  obs::process_start_time_seconds(reg);
 
-  // Subsystems that record into the process-global registry register
-  // their names here too, so private-registry engines (tests) expose the
-  // identical metric set — with zero values — as the global one.
+  // Subsystems that may record into another registry (the process-global
+  // one by default) register their names here too, so private-registry
+  // engines (tests) expose the identical metric set — with zero values —
+  // as the global one.
+  TraceStore::register_metrics(reg);
   ThreadPool::register_metrics(reg);
   mc::register_metrics(reg);
   fleetsim::register_metrics(reg);
 }
 
-void Engine::sync_metrics() const {
-  MutexLock lock(scrape_mu_);
-  const CacheStats cs = cache_.stats();
-  cache_hits_->advance_to(cs.hits);
-  cache_misses_->advance_to(cs.misses);
-  cache_evictions_->advance_to(cs.evictions);
-  cache_inserts_->advance_to(cs.inserts);
-  cache_entries_->set(static_cast<std::int64_t>(cs.entries));
-  cache_bytes_->set(static_cast<std::int64_t>(cs.bytes));
-  for (std::size_t i = 0; i < shard_entries_.size(); ++i) {
-    shard_entries_[i]->set(static_cast<std::int64_t>(cs.shard_entries[i]));
-    shard_bytes_[i]->set(static_cast<std::int64_t>(cs.shard_bytes[i]));
-  }
-  const TraceStore& ts = traces();
-  trace_hits_->advance_to(ts.hits());
-  trace_misses_->advance_to(ts.misses());
-  trace_entries_->set(static_cast<std::int64_t>(ts.size()));
-  uptime_seconds_->set(
-      opts_.uptime ? static_cast<std::int64_t>(opts_.uptime()) : 0);
-}
-
 std::string Engine::metrics_response(const std::string& id) const {
-  sync_metrics();
   const json::Value body = obs::to_json(registry().snapshot(),
                                         {"hpcarbon_net_", "hpcarbon_process_"});
   std::string response;
@@ -569,71 +521,36 @@ std::string Engine::metrics_response(const std::string& id) const {
 }
 
 std::string Engine::stats_response(const std::string& id) const {
-  const CacheStats cs = cache_.stats();
-  const TraceStore& ts = traces();
-  json::Value out = json::Value::object();
-  out.set("build", json::Value::string(obs::build_fingerprint()));
-  out.set("bytes", json::Value::number(static_cast<double>(cs.bytes)));
-  out.set("byte_budget",
-          json::Value::number(static_cast<double>(cache_.byte_budget())));
-  out.set("entries", json::Value::number(static_cast<double>(cs.entries)));
-  out.set("evictions", json::Value::number(static_cast<double>(cs.evictions)));
-  out.set("hits", json::Value::number(static_cast<double>(cs.hits)));
-  out.set("inserts", json::Value::number(static_cast<double>(cs.inserts)));
-  // End-to-end line latency over all query families (the obs total_us
-  // histograms merged — associative, so the merge order is irrelevant).
-  // The batch front-end answers whole segments, not lines, so it records
-  // no total_us and reports lat_count 0, like an idle daemon.
-  obs::Histogram::Snapshot lat;
-  for (std::size_t i = 0; i < kFamilyCount; ++i) {
-    lat.merge(slots_[i].total_us->snapshot());
+  std::map<std::pair<std::string, std::string>, std::int64_t> series;
+  for (const obs::MetricSample& s : registry().snapshot()) {
+    if (s.kind != obs::MetricKind::kHistogram) {
+      series[{s.name, s.labels}] = s.value;
+    }
   }
-  out.set("lat_count", json::Value::number(static_cast<double>(lat.count)));
-  out.set("lat_p50_us", json::Value::number(lat.quantile_us(0.50)));
-  out.set("lat_p99_us", json::Value::number(lat.quantile_us(0.99)));
-  out.set("misses", json::Value::number(static_cast<double>(cs.misses)));
-  // Transport counters: the socket front-end (src/net) wires its
-  // FrontEndStats in through ServeOptions; pipe and batch have no
-  // transport and report zeros, so the field set is identical everywhere.
-  const FrontEndStats* fe = opts_.frontend;
-  auto tally = [](std::uint64_t v) {
-    return json::Value::number(static_cast<double>(v));
+  auto read = [&series](const char* name, const std::string& labels = {}) {
+    const auto it = series.find({name, labels});
+    return json::Value::number(
+        it == series.end() ? 0.0 : static_cast<double>(it->second));
   };
-  auto level = [](std::int64_t v) {
-    return json::Value::number(static_cast<double>(v));
-  };
-  out.set("net_accepted",
-          tally(fe != nullptr ? fe->connections_accepted.value() : 0));
-  out.set("net_active",
-          level(fe != nullptr ? fe->connections_active.value() : 0));
-  out.set("net_bytes_in", tally(fe != nullptr ? fe->bytes_in.value() : 0));
-  out.set("net_bytes_out", tally(fe != nullptr ? fe->bytes_out.value() : 0));
-  out.set("net_max_inflight",
-          level(fe != nullptr ? fe->max_inflight.value() : 0));
-  out.set("net_shed", tally(fe != nullptr ? fe->requests_shed.value() : 0));
+  json::Value out = json::Value::object();
+  for (const auto& [field, name] : kStatsFields) out.set(field, read(name));
   // Per-shard occupancy, in shard order: imbalance (a hot shard thrashing
   // while others idle) is invisible in the totals above.
   json::Value shard_bytes = json::Value::array();
   json::Value shard_entries = json::Value::array();
-  for (std::size_t i = 0; i < cs.shard_entries.size(); ++i) {
-    shard_entries.push_back(
-        json::Value::number(static_cast<double>(cs.shard_entries[i])));
-    shard_bytes.push_back(
-        json::Value::number(static_cast<double>(cs.shard_bytes[i])));
+  for (std::size_t i = 0; i < cache_.shard_count(); ++i) {
+    const std::string l = ResultCache::shard_label(i);
+    shard_bytes.push_back(read("hpcarbon_cache_shard_bytes", l));
+    shard_entries.push_back(read("hpcarbon_cache_shard_entries", l));
   }
   out.set("shard_bytes", std::move(shard_bytes));
   out.set("shard_entries", std::move(shard_entries));
+  // Constants of the build and the cache geometry.
+  out.set("build", json::Value::string(obs::build_fingerprint()));
+  out.set("byte_budget",
+          json::Value::number(static_cast<double>(cache_.byte_budget())));
   out.set("shards",
           json::Value::number(static_cast<double>(cache_.shard_count())));
-  out.set("trace_entries", json::Value::number(static_cast<double>(ts.size())));
-  out.set("trace_hits", json::Value::number(static_cast<double>(ts.hits())));
-  out.set("trace_misses",
-          json::Value::number(static_cast<double>(ts.misses())));
-  out.set("uptime_s",
-          json::Value::number(opts_.uptime
-                                  ? static_cast<double>(static_cast<std::int64_t>(
-                                        opts_.uptime()))
-                                  : 0.0));
   std::string response;
   success_prefix_to(response, id, "stats");
   out.dump_to(response, /*sort_keys=*/true);
@@ -643,24 +560,41 @@ std::string Engine::stats_response(const std::string& id) const {
 
 namespace {
 
-void answer_query_to(ResultCache& cache, TraceStore& traces, const Query& q,
-                     obs::Histogram* eval_us, std::string& out) {
+/// Cache miss: evaluate, record the evaluate+serialize latency, append
+/// the success response to `out` and cache the result. A runtime failure
+/// appends the error response instead and caches nothing.
+void answer_miss_to(ResultCache& cache, TraceStore& traces, const Query& q,
+                    obs::Histogram* eval_us, std::string& out) {
+  try {
+    const std::uint64_t t0 = obs::ticks();
+    std::string result = evaluate(q, traces).dump(/*sort_keys=*/true);
+    eval_us->record_ns(obs::elapsed_ns(t0, obs::ticks()));
+    success_prefix_to(out, q.id, q.op);
+    out += result;
+    out.push_back('}');
+    cache.put(q.key, q.canonical, std::move(result));
+  } catch (const Error& e) {
+    append_error_response(out, q.id, e.what());
+  }
+}
+
+/// Cache hit: append the success response to `out` and return true. On a
+/// miss `out` is left as it was.
+bool answer_hit_to(ResultCache& cache, const Query& q, std::string& out) {
   const std::size_t mark = out.size();
   success_prefix_to(out, q.id, q.op);
   if (cache.get_append(q.key, q.canonical, out)) {
     out.push_back('}');
-    return;
+    return true;
   }
-  try {
-    const std::uint64_t t0 = obs::ticks();
-    const std::string result = evaluate(q, traces).dump(/*sort_keys=*/true);
-    eval_us->record_ns(obs::elapsed_ns(t0, obs::ticks()));
-    cache.put(q.key, q.canonical, result);
-    out += result;
-    out.push_back('}');
-  } catch (const Error& e) {
-    out.resize(mark);  // drop the success prefix
-    append_error_response(out, q.id, e.what());  // runtime failures not cached
+  out.resize(mark);
+  return false;
+}
+
+void answer_query_to(ResultCache& cache, TraceStore& traces, const Query& q,
+                     obs::Histogram* eval_us, std::string& out) {
+  if (!answer_hit_to(cache, q, out)) {
+    answer_miss_to(cache, traces, q, eval_us, out);
   }
 }
 
@@ -688,13 +622,8 @@ void answer_segment(ResultCache& cache, ThreadPool& pool, TraceStore& traces,
       follower[i - begin] = true;  // answered from the leader's fill below
       continue;
     }
-    success_prefix_to(responses[i], p.q.id, p.q.op);
-    if (cache.get_append(p.q.key, p.q.canonical, responses[i])) {
-      responses[i].push_back('}');
-      continue;
-    }
-    responses[i].clear();  // miss: the leader fan-out rebuilds the line
-    first_of[p.q.key] = i;
+    if (answer_hit_to(cache, p.q, responses[i])) continue;
+    first_of[p.q.key] = i;  // miss: the leader fan-out writes the line
     leaders.push_back(i);
   }
 
@@ -704,19 +633,9 @@ void answer_segment(ResultCache& cache, ThreadPool& pool, TraceStore& traces,
   // deterministic per canonical query).
   pool.parallel_for(0, leaders.size(), [&](std::size_t k) {
     const Query& q = plan[leaders[k]].q;
-    std::string& out = responses[leaders[k]];
-    try {
-      const std::uint64_t t0 = obs::ticks();
-      const std::string result = evaluate(q, traces).dump(/*sort_keys=*/true);
-      slots[static_cast<std::size_t>(q.family)].eval_us->record_ns(
-          obs::elapsed_ns(t0, obs::ticks()));
-      cache.put(q.key, q.canonical, result);
-      success_prefix_to(out, q.id, q.op);
-      out += result;
-      out.push_back('}');
-    } catch (const Error& e) {
-      append_error_response(out, q.id, e.what());
-    }
+    answer_miss_to(cache, traces, q,
+                   slots[static_cast<std::size_t>(q.family)].eval_us,
+                   responses[leaders[k]]);
   });
 
   // Followers read their leader's freshly-cached result (a real counted
@@ -746,8 +665,9 @@ std::string Engine::handle_line(std::string_view line) {
 
 void Engine::handle_line_to(std::string_view line, std::string& out) {
   // The only hot-path instrumentation cost on a warm hit is the two
-  // ticks() reads and one histogram record (~tens of ns) — parse latency
-  // is sampled by the batch front-end, and eval latency only on misses.
+  // ticks() reads, one histogram record and the cache's hit count (~tens
+  // of ns) — parse latency is sampled by the batch front-end, and eval
+  // latency only on misses.
   const std::uint64_t t0 = obs::ticks();
   Planned p = plan_line(line);
   switch (p.kind) {

@@ -11,6 +11,8 @@
 // only through the separate {"op":"stats"} control request — so the batch
 // front-end, the stdin/stdout daemon loop, repeated runs, and every
 // thread count all emit bit-identical bytes for the same question.
+// {"op":"metrics"} renders the engine registry's snapshot; {"op":"stats"}
+// is a fixed projection of that snapshot with no timing fields.
 //
 // handle_batch is the planner: it parses every line, answers cache hits
 // immediately, dedups identical in-flight canonical keys down to one
@@ -25,7 +27,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,26 +41,6 @@ class ThreadPool;
 
 namespace hpcarbon::serve {
 
-/// Front-end transport instruments (the hpcarbon_net_* obs domain),
-/// reported through the {"op":"stats"} control request as the net_*
-/// fields so overload shedding and connection churn are observable
-/// in-band. The socket server (src/net) owns one — registered against
-/// its metrics registry — and updates it from its event loop and
-/// workers; the pipe/batch front-ends have no transport, report every
-/// field as zero, and pass no pointer. Each field is a monotonic tally,
-/// a level, or a high-water mark, never a cross-field invariant.
-struct FrontEndStats {
-  /// Registers (idempotently) the hpcarbon_net_* series in `registry`.
-  explicit FrontEndStats(obs::MetricsRegistry& registry);
-
-  obs::Counter& connections_accepted;
-  obs::Gauge& connections_active;
-  obs::Counter& requests_shed;
-  obs::Counter& bytes_in;
-  obs::Counter& bytes_out;
-  obs::Gauge& max_inflight;
-};
-
 struct ServeOptions {
   /// ResultCache geometry.
   std::size_t cache_shards = 8;
@@ -67,19 +48,14 @@ struct ServeOptions {
   /// Pool the batch planner fans leaders over; nullptr selects
   /// ThreadPool::global(). Responses are bit-identical either way.
   ThreadPool* pool = nullptr;
-  /// Trace source; nullptr selects TraceStore::global().
+  /// Trace source; nullptr selects TraceStore::global(). The stats op
+  /// reports the trace_* fields from this engine's registry, so a store
+  /// meant to show up there records into the same registry.
   TraceStore* traces = nullptr;
-  /// Transport counters surfaced by {"op":"stats"} as the net_* fields;
-  /// nullptr (pipe/batch — no transport) reports zeros for all of them.
-  const FrontEndStats* frontend = nullptr;
-  /// Metrics sink; nullptr selects obs::MetricsRegistry::global(). Tests
-  /// that assert exact counts pass a private registry (instruments are
-  /// process-shared otherwise).
+  /// Metrics sink of the engine and its cache; nullptr selects
+  /// obs::MetricsRegistry::global(). Tests that assert exact counts pass
+  /// a private registry (instruments are process-shared otherwise).
   obs::MetricsRegistry* registry = nullptr;
-  /// Daemon uptime in seconds, reported (floored) as the stats uptime_s
-  /// field and the hpcarbon_process_uptime_seconds gauge. Unset (pipe /
-  /// batch — no daemon) reports 0, keeping those modes time-independent.
-  std::function<double()> uptime;
 };
 
 /// Append the canonical error-response document
@@ -150,18 +126,13 @@ class Engine {
 
   CacheStats cache_stats() const { return cache_.stats(); }
   const ServeOptions& options() const { return opts_; }
-
-  /// Mirror the subsystem-owned counters (cache shards, trace store,
-  /// uptime) into the obs registry. Runs before every {"op":"metrics"}
-  /// snapshot; the daemon's Prometheus scrape socket calls it as its
-  /// pre-scrape hook. Thread-safe (scrape mutex); zero hot-path cost.
-  void sync_metrics() const;
   obs::MetricsRegistry& registry() const;
 
  private:
   ThreadPool& pool() const;
   TraceStore& traces() const;
-  /// {"op":"stats"} response body for the current counters.
+  /// {"op":"stats"} response body: the registry snapshot projected onto
+  /// the stats field names.
   std::string stats_response(const std::string& id) const;
   /// {"op":"metrics"} response body: the obs snapshot as sorted-key JSON,
   /// transport-dependent domains excluded (see obs/export.h).
@@ -173,21 +144,6 @@ class Engine {
 
   /// Hot-path instrument slots (see FamilySlots).
   std::array<FamilySlots, kSlotCount> slots_{};
-  /// Scrape-sync handles: cache / trace-store counters mirrored into obs
-  /// by sync_metrics (advance_to under scrape_mu_).
-  obs::Counter* cache_hits_ = nullptr;
-  obs::Counter* cache_misses_ = nullptr;
-  obs::Counter* cache_evictions_ = nullptr;
-  obs::Counter* cache_inserts_ = nullptr;
-  obs::Gauge* cache_entries_ = nullptr;
-  obs::Gauge* cache_bytes_ = nullptr;
-  std::vector<obs::Gauge*> shard_entries_;
-  std::vector<obs::Gauge*> shard_bytes_;
-  obs::Counter* trace_hits_ = nullptr;
-  obs::Counter* trace_misses_ = nullptr;
-  obs::Gauge* trace_entries_ = nullptr;
-  obs::Gauge* uptime_seconds_ = nullptr;
-  mutable AnnotatedMutex scrape_mu_;
 };
 
 }  // namespace hpcarbon::serve

@@ -166,16 +166,12 @@ TEST(ObsHistogram, ConcurrentRecordingTotalsAreThreadCountInvariant) {
 // ---------------------------------------------------------------------------
 // Counter / Gauge.
 
-TEST(ObsCounter, IncValueAndAdvanceTo) {
+TEST(ObsCounter, IncAndValue) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.inc();
   c.inc(41);
   EXPECT_EQ(c.value(), 42u);
-  c.advance_to(100);  // raise to the authoritative external total
-  EXPECT_EQ(c.value(), 100u);
-  c.advance_to(50);  // never moves backwards
-  EXPECT_EQ(c.value(), 100u);
 }
 
 TEST(ObsGauge, SetAddSubObserveMax) {
@@ -312,15 +308,13 @@ TEST(ObsScrape, ServesOneExpositionPerConnection) {
   reg.counter("test_scrape_total", "", "Scrape smoke.").inc(5);
   const std::string path =
       "/tmp/hpcarbon_test_obs_" + std::to_string(::getpid()) + ".sock";
-  int pre_scrapes = 0;
-  ScrapeServer server(path, &reg, [&pre_scrapes] { ++pre_scrapes; });
+  ScrapeServer server(path, &reg);
   server.start();
   for (int i = 0; i < 3; ++i) {
     const std::string text = scrape_once(path);
     EXPECT_NE(text.find("test_scrape_total 5\n"), std::string::npos) << text;
   }
   server.stop();
-  EXPECT_EQ(pre_scrapes, 3);
 }
 
 TEST(ObsRaceStress, ConcurrentRecordVsScrapeReconcilesExactly) {

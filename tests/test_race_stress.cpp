@@ -18,6 +18,7 @@
 
 #include "core/rng.h"
 #include "core/thread_pool.h"
+#include "obs/metrics.h"
 #include "serve/cache.h"
 #include "serve/engine.h"
 
@@ -46,7 +47,8 @@ TEST(RaceStress, SingleCacheShardOverlappingEvictions) {
   constexpr int kOpsPerThread = 4000;
   constexpr std::uint64_t kKeys = 16;
   // ~4 mid-sized entries fit; the value sizes span 100..355 bytes.
-  ResultCache cache(1, 1600);
+  obs::MetricsRegistry reg;
+  ResultCache cache(1, 1600, reg);
 
   std::atomic<std::uint64_t> gets{0};
   std::vector<std::thread> threads;
@@ -60,9 +62,9 @@ TEST(RaceStress, SingleCacheShardOverlappingEvictions) {
         if (rng.bernoulli(0.5)) {
           cache.put(key, canonical_of(key), value_of(key));
         } else {
-          const auto v = cache.get(key, canonical_of(key));
-          if (v.has_value()) {
-            EXPECT_EQ(*v, value_of(key));
+          std::string v;
+          if (cache.get_append(key, canonical_of(key), v)) {
+            EXPECT_EQ(v, value_of(key));
           }
           gets.fetch_add(1, std::memory_order_relaxed);
         }
@@ -82,7 +84,8 @@ TEST(RaceStress, SingleCacheShardOverlappingEvictions) {
   std::size_t resident = 0;
   std::size_t resident_bytes = 0;
   for (std::uint64_t key = 0; key < kKeys; ++key) {
-    if (cache.get(key, canonical_of(key)).has_value()) {
+    std::string v;
+    if (cache.get_append(key, canonical_of(key), v)) {
       ++resident;
       resident_bytes +=
           ResultCache::entry_cost(canonical_of(key), value_of(key));
@@ -97,7 +100,8 @@ TEST(RaceStress, SingleCacheShardOverlappingEvictions) {
 // one insert wins and everyone must receive that winner.
 TEST(RaceStress, TraceStoreConcurrentFirstTouchPreset) {
   constexpr int kThreads = 8;
-  TraceStore store;
+  obs::MetricsRegistry reg;
+  TraceStore store(reg);
   std::vector<TraceStore::TracePtr> got(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -122,7 +126,8 @@ TEST(RaceStress, TraceStoreImportVsLookupChurn) {
   constexpr int kLookupThreads = 4;
   constexpr int kImportThreads = 2;
   constexpr int kIters = 40;
-  TraceStore store;
+  obs::MetricsRegistry reg;
+  TraceStore store(reg);
   store.set_max_imports(1);
 
   std::atomic<std::uint64_t> lookups{0};
@@ -180,17 +185,21 @@ TEST(RaceStress, BatchDuplicateKeysRacingTheLeader) {
 
   ThreadPool pool(8);
   TraceStore traces;
+  obs::MetricsRegistry reg;
   ServeOptions opts;
   opts.pool = &pool;
   opts.traces = &traces;
+  opts.registry = &reg;
   opts.cache_shards = 1;
   opts.cache_bytes = 1024;  // a few entries: leaders evict each other
   Engine batch_engine(opts);
   const auto batch = batch_engine.handle_batch(lines);
 
   TraceStore seq_traces;
+  obs::MetricsRegistry seq_reg;
   ServeOptions seq_opts = opts;
   seq_opts.traces = &seq_traces;
+  seq_opts.registry = &seq_reg;
   Engine seq_engine(seq_opts);
   ASSERT_EQ(batch.size(), lines.size());
   for (std::size_t i = 0; i < lines.size(); ++i) {

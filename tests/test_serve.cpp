@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <regex>
 #include <string>
 #include <vector>
 
@@ -364,8 +363,18 @@ std::vector<std::string> family_lines() {
   };
 }
 
+/// Options for an engine whose counters only its own traffic moves: a
+/// private metrics registry (the process-global one is shared by every
+/// engine in this binary).
+ServeOptions private_counts(obs::MetricsRegistry& reg) {
+  ServeOptions opts;
+  opts.registry = &reg;
+  return opts;
+}
+
 TEST(Engine, AnswersAllSixFamilies) {
-  Engine engine;
+  obs::MetricsRegistry reg;
+  Engine engine(private_counts(reg));
   for (const auto& line : family_lines()) {
     const std::string response = engine.handle_line(line);
     EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
@@ -375,7 +384,8 @@ TEST(Engine, AnswersAllSixFamilies) {
 }
 
 TEST(Engine, ErrorResponsesEchoTheIdAndAreNotCached) {
-  Engine engine;
+  obs::MetricsRegistry reg;
+  Engine engine(private_counts(reg));
   const std::string bad = engine.handle_line(
       R"({"id":"oops","op":"embodied","params":{"part":"gtx-480"}})");
   EXPECT_NE(bad.find("\"ok\":false"), std::string::npos);
@@ -392,7 +402,8 @@ TEST(Engine, InvalidUtf8IsRejectedWithoutEchoingRawBytes) {
   const std::string probe =
       "{\"op\":\"embodied\",\"id\":\"\xff\xfe\","
       "\"params\":{\"part\":\"a100-pcie-40\"}}";
-  Engine engine;
+  obs::MetricsRegistry reg;
+  Engine engine(private_counts(reg));
   const std::string response = engine.handle_line(probe);
   EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
   EXPECT_NE(response.find("invalid UTF-8 byte 0xff"), std::string::npos)
@@ -405,7 +416,8 @@ TEST(Engine, InvalidUtf8IsRejectedWithoutEchoingRawBytes) {
 }
 
 TEST(Engine, CacheHitsReturnIdenticalBytes) {
-  Engine engine;
+  obs::MetricsRegistry reg;
+  Engine engine(private_counts(reg));
   const std::string first = engine.handle_line(family_lines()[0]);
   const std::string second = engine.handle_line(family_lines()[0]);
   EXPECT_EQ(first, second);
@@ -424,10 +436,11 @@ TEST(Engine, BatchMatchesSequentialByteForByte) {
   lines.push_back(R"({"id":"dup","op":"embodied","params":{"part":"a100-pcie-40"}})");
   lines.push_back(R"({"id":"bad","op":"embodied","params":{"parts":"x"}})");
 
-  Engine batch_engine;
+  obs::MetricsRegistry batch_reg, seq_reg;
+  Engine batch_engine(private_counts(batch_reg));
   const auto batch = batch_engine.handle_batch(lines);
 
-  Engine seq_engine;
+  Engine seq_engine(private_counts(seq_reg));
   std::vector<std::string> seq;
   for (const auto& line : lines) seq.push_back(seq_engine.handle_line(line));
 
@@ -473,7 +486,8 @@ TEST(Engine, BatchDedupsInFlightDuplicates) {
       R"({"op":"sched","params":{"policy":"greedy-lowest-ci","days":7,"rate":1}})",
       R"({"op":"embodied","params":{"part":"mi250x"}})",
   };
-  Engine engine;
+  obs::MetricsRegistry reg;
+  Engine engine(private_counts(reg));
   const auto responses = engine.handle_batch(lines);
   const auto stats = engine.cache_stats();
   EXPECT_EQ(stats.inserts, 2u);   // one leader per distinct key
@@ -485,7 +499,8 @@ TEST(Engine, BatchDedupsInFlightDuplicates) {
 }
 
 TEST(Engine, StatsControlRequestReportsCounters) {
-  Engine engine;
+  obs::MetricsRegistry reg;
+  Engine engine(private_counts(reg));
   engine.handle_line(family_lines()[0]);
   engine.handle_line(family_lines()[0]);
   const std::string stats = engine.handle_line(R"({"op":"stats","id":"s"})");
@@ -512,15 +527,6 @@ TEST(Engine, StatsControlRequestIsValidatedStrictly) {
 
 // A stats line inside a batch is a sequence point: the whole payload,
 // stats included, answers byte-identically to a sequential replay.
-/// Blank out the `lat_*` stats fields: they summarize wall-clock latency
-/// histograms, so their values are inherently timing-dependent and the
-/// batch/sequential byte-identity contract excludes them (batch also
-/// records parse latency during planning, ahead of the control line).
-std::string mask_latency_fields(std::string s) {
-  static const std::regex kLat(R"re("lat_(count|p50_us|p99_us)":[^,}]*)re");
-  return std::regex_replace(s, kLat, "\"lat_$1\":X");
-}
-
 TEST(Engine, StatsInsideBatchMatchesSequentialReplay) {
   const std::vector<std::string> lines = {
       R"({"op":"embodied","params":{"part":"mi250x"}})",
@@ -530,22 +536,22 @@ TEST(Engine, StatsInsideBatchMatchesSequentialReplay) {
       R"({"op":"stats","id":"end"})",
   };
   // Stats lines report TraceStore counters too, so each engine gets its
-  // own store: the comparison must not see the other engine's lookups
-  // through the process-global one.
-  TraceStore batch_traces, seq_traces;
-  ServeOptions batch_opts;
+  // own registry and a store recording there: the comparison must not
+  // see the other engine's lookups through the process-global ones.
+  obs::MetricsRegistry batch_reg, seq_reg;
+  TraceStore batch_traces(batch_reg), seq_traces(seq_reg);
+  ServeOptions batch_opts = private_counts(batch_reg);
   batch_opts.traces = &batch_traces;
   Engine batch_engine(batch_opts);
   const auto batch = batch_engine.handle_batch(lines);
-  ServeOptions seq_opts;
+  ServeOptions seq_opts = private_counts(seq_reg);
   seq_opts.traces = &seq_traces;
   Engine seq_engine(seq_opts);
   std::vector<std::string> seq;
   for (const auto& line : lines) seq.push_back(seq_engine.handle_line(line));
   ASSERT_EQ(batch.size(), seq.size());
   for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(mask_latency_fields(batch[i]), mask_latency_fields(seq[i]))
-        << "line " << i;
+    EXPECT_EQ(batch[i], seq[i]) << "line " << i;
   }
   // The mid-stream snapshot reflects only the first query...
   EXPECT_NE(batch[1].find("\"inserts\":1"), std::string::npos) << batch[1];
@@ -565,7 +571,8 @@ TEST(Engine, OversizeLineRejectedWithByteCount) {
   big.append(kMaxRequestLineBytes, 'x');
   big += "\"}}";
 
-  Engine engine;
+  obs::MetricsRegistry reg;
+  Engine engine(private_counts(reg));
   const std::string direct = engine.handle_line(big);
   EXPECT_NE(direct.find(oversize_line_error(big.size())), std::string::npos)
       << direct;
@@ -596,7 +603,8 @@ TEST(Engine, OversizeLineRejectedWithByteCount) {
 TEST(Engine, StatsReportsZeroNetCountersWithoutTransport) {
   // Pipe/batch mode has no socket front-end: the net_* counters exist in
   // the stats document (stable schema for dashboards) but read zero.
-  Engine engine;
+  obs::MetricsRegistry reg;
+  Engine engine(private_counts(reg));
   const std::string stats = engine.handle_line(R"({"op":"stats"})");
   EXPECT_NE(stats.find("\"net_accepted\":0"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"net_active\":0"), std::string::npos);
@@ -606,29 +614,102 @@ TEST(Engine, StatsReportsZeroNetCountersWithoutTransport) {
   EXPECT_NE(stats.find("\"net_shed\":0"), std::string::npos);
 }
 
-TEST(Engine, StatsReportsBuildUptimeAndLatencySummary) {
-  // The extended stats document: build fingerprint, uptime (0 without a
-  // transport-provided clock), and the latency-histogram summary — all
-  // zero/empty on a fresh engine, lat_count advancing with traffic.
+TEST(Engine, StatsReportsBuildAndShardOccupancy) {
+  // The stats document carries the build fingerprint and the per-shard
+  // occupancy arrays (all zero on a fresh engine), and no timing fields:
+  // latency and start time live in {"op":"metrics"} and Prometheus.
   obs::MetricsRegistry reg;
-  ServeOptions opts;
-  opts.registry = &reg;
-  Engine engine(opts);
+  Engine engine(private_counts(reg));
   const std::string stats = engine.handle_line(R"({"op":"stats"})");
   EXPECT_NE(stats.find("\"build\":\"" + obs::build_fingerprint() + "\""),
             std::string::npos)
       << stats;
-  EXPECT_NE(stats.find("\"uptime_s\":0"), std::string::npos);
-  EXPECT_NE(stats.find("\"lat_count\":0"), std::string::npos);
-  EXPECT_NE(stats.find("\"lat_p50_us\":0"), std::string::npos);
-  EXPECT_NE(stats.find("\"lat_p99_us\":0"), std::string::npos);
   EXPECT_NE(stats.find("\"shard_entries\":[0,0,0,0,0,0,0,0]"),
             std::string::npos);
   EXPECT_NE(stats.find("\"shard_bytes\":[0,0,0,0,0,0,0,0]"),
             std::string::npos);
-  engine.handle_line(family_lines()[0]);
-  const std::string after = engine.handle_line(R"({"op":"stats"})");
-  EXPECT_NE(after.find("\"lat_count\":1"), std::string::npos) << after;
+  EXPECT_EQ(stats.find("lat_"), std::string::npos) << stats;
+  EXPECT_EQ(stats.find("uptime"), std::string::npos) << stats;
+}
+
+// The stats op is a fixed projection of the metrics snapshot: at one
+// sequence point, every counter field equals the series it names.
+TEST(Engine, StatsIsAProjectionOfTheMetricsSnapshot) {
+  obs::MetricsRegistry reg;
+  TraceStore traces(reg);
+  ServeOptions opts = private_counts(reg);
+  opts.traces = &traces;
+  opts.cache_shards = 2;
+  opts.cache_bytes = 2 * 320;  // one embodied result per shard
+  Engine engine(opts);
+  const std::vector<std::string> traffic = {
+      R"({"op":"embodied","params":{"part":"mi250x"}})",
+      R"({"op":"embodied","params":{"part":"mi250x"}})",
+      R"({"op":"embodied","params":{"part":"a100-pcie-40"}})",
+      R"({"op":"embodied","params":{"part":"v100-sxm2-32"}})",
+      R"({"op":"embodied","params":{"part":"epyc-7763"}})",
+      R"({"op":"trace","params":{"region":"ESO"}})",
+      R"({"op":"trace","params":{"region":"ESO"}})",
+  };
+  for (const auto& line : traffic) engine.handle_line(line);
+  const json::Value stats =
+      *json::Value::parse(engine.handle_line(R"({"op":"stats"})"))
+           .find("result");
+  const json::Value metrics =
+      *json::Value::parse(engine.handle_line(R"({"op":"metrics"})"))
+           .find("result");
+
+  const std::vector<std::pair<std::string, std::string>> fields = {
+      {"bytes", "hpcarbon_cache_bytes"},
+      {"entries", "hpcarbon_cache_entries"},
+      {"evictions", "hpcarbon_cache_evictions_total"},
+      {"hits", "hpcarbon_cache_hits_total"},
+      {"inserts", "hpcarbon_cache_inserts_total"},
+      {"misses", "hpcarbon_cache_misses_total"},
+      {"trace_entries", "hpcarbon_trace_store_entries"},
+      {"trace_hits", "hpcarbon_trace_store_hits_total"},
+      {"trace_misses", "hpcarbon_trace_store_misses_total"},
+  };
+  for (const auto& [field, series] : fields) {
+    ASSERT_NE(stats.find(field), nullptr) << field;
+    ASSERT_NE(metrics.find(series), nullptr) << series;
+    EXPECT_EQ(stats.find(field)->as_number(), metrics.find(series)->as_number())
+        << field;
+  }
+  // The traffic exercised every counter the projection reads.
+  EXPECT_GE(stats.find("hits")->as_number(), 1);
+  EXPECT_GE(stats.find("misses")->as_number(), 1);
+  EXPECT_GE(stats.find("evictions")->as_number(), 1);
+  EXPECT_GE(stats.find("trace_hits")->as_number(), 1);
+  EXPECT_GE(stats.find("trace_misses")->as_number(), 1);
+
+  const auto& shard_entries = stats.find("shard_entries")->items();
+  const auto& shard_bytes = stats.find("shard_bytes")->items();
+  ASSERT_EQ(shard_entries.size(), 2u);
+  ASSERT_EQ(shard_bytes.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::string l = "{shard=\"" + std::to_string(i) + "\"}";
+    EXPECT_EQ(shard_entries[i].as_number(),
+              metrics.find("hpcarbon_cache_shard_entries" + l)->as_number());
+    EXPECT_EQ(shard_bytes[i].as_number(),
+              metrics.find("hpcarbon_cache_shard_bytes" + l)->as_number());
+  }
+
+  // The rest of the document: transport fields (no transport here, so 0)
+  // and constants. Nothing else — in particular no timing fields.
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : stats.members()) keys.push_back(key);
+  const std::vector<std::string> expected_keys = {
+      "build", "byte_budget", "bytes", "entries", "evictions", "hits",
+      "inserts", "misses", "net_accepted", "net_active", "net_bytes_in",
+      "net_bytes_out", "net_max_inflight", "net_shed", "shard_bytes",
+      "shard_entries", "shards", "trace_entries", "trace_hits",
+      "trace_misses"};
+  EXPECT_EQ(keys, expected_keys);
+  for (const char* net : {"net_accepted", "net_active", "net_bytes_in",
+                          "net_bytes_out", "net_max_inflight", "net_shed"}) {
+    EXPECT_EQ(stats.find(net)->as_number(), 0) << net;
+  }
 }
 
 TEST(Engine, MetricsIdleSnapshotIsByteIdenticalAcrossFrontEnds) {
@@ -700,7 +781,8 @@ TEST(Engine, MetricsCountsQueryTraffic) {
 TEST(Engine, EvictionKeepsAnsweringCorrectly) {
   // A cache too small for even one response forces every request down the
   // evaluate path; answers stay correct and byte-identical.
-  ServeOptions opts;
+  obs::MetricsRegistry reg;
+  ServeOptions opts = private_counts(reg);
   opts.cache_shards = 1;
   opts.cache_bytes = 96;  // below any response's entry cost
   Engine tiny(opts);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "core/rng.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
+#include "obs/metrics.h"
 #include "serve/cache.h"
 
 namespace hpcarbon::serve {
@@ -18,15 +20,30 @@ std::string fixture_path() {
   return std::string(HPCARBON_TEST_DATA_DIR) + "/sample_5min.csv";
 }
 
+/// ResultCache::get_append as an optional: the cached value on a hit,
+/// nullopt on a miss — and a miss must leave the buffer untouched.
+std::optional<std::string> lookup(ResultCache& cache, std::uint64_t key,
+                                  std::string_view canonical) {
+  const std::string prefix = "prefix:";
+  std::string out = prefix;
+  if (!cache.get_append(key, canonical, out)) {
+    EXPECT_EQ(out, prefix);
+    return std::nullopt;
+  }
+  EXPECT_EQ(out.compare(0, prefix.size(), prefix), 0);
+  return out.substr(prefix.size());
+}
+
 TEST(ResultCache, HitMissAndCounters) {
-  ResultCache cache(/*shards=*/2, /*byte_budget=*/1 << 16);
+  obs::MetricsRegistry reg;
+  ResultCache cache(/*shards=*/2, /*byte_budget=*/1 << 16, reg);
   EXPECT_EQ(cache.shard_count(), 2u);
-  EXPECT_FALSE(cache.get(1, "k1").has_value());
+  EXPECT_FALSE(lookup(cache, 1, "k1").has_value());
   cache.put(1, "k1", "one");
   cache.put(2, "k2", "two");
-  EXPECT_EQ(cache.get(1, "k1").value(), "one");
-  EXPECT_EQ(cache.get(2, "k2").value(), "two");
-  EXPECT_FALSE(cache.get(3, "k3").has_value());
+  EXPECT_EQ(lookup(cache, 1, "k1").value(), "one");
+  EXPECT_EQ(lookup(cache, 2, "k2").value(), "two");
+  EXPECT_FALSE(lookup(cache, 3, "k3").has_value());
 
   const CacheStats s = cache.stats();
   EXPECT_EQ(s.hits, 2u);
@@ -41,14 +58,15 @@ TEST(ResultCache, HitMissAndCounters) {
 TEST(ResultCache, HashCollisionReadsAsMissNeverAsWrongAnswer) {
   // Two distinct canonical strings forced onto one 64-bit key: the
   // resident entry must not be served for the other question.
-  ResultCache cache(1, 1 << 16);
+  obs::MetricsRegistry reg;
+  ResultCache cache(1, 1 << 16, reg);
   cache.put(42, "canonical-A", "answer-A");
-  EXPECT_FALSE(cache.get(42, "canonical-B").has_value());
-  EXPECT_EQ(cache.get(42, "canonical-A").value(), "answer-A");
+  EXPECT_FALSE(lookup(cache, 42, "canonical-B").has_value());
+  EXPECT_EQ(lookup(cache, 42, "canonical-A").value(), "answer-A");
   // A colliding put replaces the resident (latest canonical wins).
   cache.put(42, "canonical-B", "answer-B");
-  EXPECT_EQ(cache.get(42, "canonical-B").value(), "answer-B");
-  EXPECT_FALSE(cache.get(42, "canonical-A").has_value());
+  EXPECT_EQ(lookup(cache, 42, "canonical-B").value(), "answer-B");
+  EXPECT_FALSE(lookup(cache, 42, "canonical-A").has_value());
   EXPECT_EQ(cache.stats().entries, 1u);
 }
 
@@ -56,28 +74,30 @@ TEST(ResultCache, LruEvictionOrderUnderByteBudget) {
   // One shard, room for exactly three identical-cost entries.
   const std::string payload(100, 'x');
   const std::size_t budget = 3 * ResultCache::entry_cost("k1", payload);
-  ResultCache cache(1, budget);
+  obs::MetricsRegistry reg;
+  ResultCache cache(1, budget, reg);
   cache.put(1, "k1", payload);
   cache.put(2, "k2", payload);
   cache.put(3, "k3", payload);
   EXPECT_EQ(cache.stats().entries, 3u);
 
   // Touch 1 so 2 becomes least-recently-used, then overflow with 4.
-  EXPECT_TRUE(cache.get(1, "k1").has_value());
+  EXPECT_TRUE(lookup(cache, 1, "k1").has_value());
   cache.put(4, "k4", payload);
   EXPECT_EQ(cache.stats().entries, 3u);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_FALSE(cache.get(2, "k2").has_value());  // the LRU victim
-  EXPECT_TRUE(cache.get(1, "k1").has_value());
-  EXPECT_TRUE(cache.get(3, "k3").has_value());
-  EXPECT_TRUE(cache.get(4, "k4").has_value());
+  EXPECT_FALSE(lookup(cache, 2, "k2").has_value());  // the LRU victim
+  EXPECT_TRUE(lookup(cache, 1, "k1").has_value());
+  EXPECT_TRUE(lookup(cache, 3, "k3").has_value());
+  EXPECT_TRUE(lookup(cache, 4, "k4").has_value());
   EXPECT_LE(cache.stats().bytes, budget);
 }
 
 TEST(ResultCache, UpdateAdjustsBytesAndRefreshesRecency) {
   const std::string small(10, 's');
   const std::string big(200, 'b');
-  ResultCache cache(1, 1 << 16);
+  obs::MetricsRegistry reg;
+  ResultCache cache(1, 1 << 16, reg);
   cache.put(7, "k7", small);
   const std::size_t before = cache.stats().bytes;
   cache.put(7, "k7", big);
@@ -86,15 +106,16 @@ TEST(ResultCache, UpdateAdjustsBytesAndRefreshesRecency) {
   EXPECT_EQ(cache.stats().bytes,
             before - ResultCache::entry_cost("k7", small) +
                 ResultCache::entry_cost("k7", big));
-  EXPECT_EQ(cache.get(7, "k7").value(), big);
+  EXPECT_EQ(lookup(cache, 7, "k7").value(), big);
 }
 
 TEST(ResultCache, OversizeValueIsNotCached) {
-  ResultCache cache(1, 1 << 10);  // 1 KiB shard budget
+  obs::MetricsRegistry reg;
+  ResultCache cache(1, 1 << 10, reg);  // 1 KiB shard budget
   cache.put(1, "k1", "keep-me");
   cache.put(2, "k2", std::string(4096, 'z'));  // larger than the shard
-  EXPECT_FALSE(cache.get(2, "k2").has_value());
-  EXPECT_TRUE(cache.get(1, "k1").has_value());  // nothing evicted for it
+  EXPECT_FALSE(lookup(cache, 2, "k2").has_value());
+  EXPECT_TRUE(lookup(cache, 1, "k1").has_value());  // nothing evicted for it
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
@@ -108,7 +129,8 @@ TEST(ResultCache, RejectsDegenerateGeometry) {
 TEST(ResultCache, ShardIndependenceUnderThreadHammer) {
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 20000;
-  ResultCache cache(8, 64 << 10);
+  obs::MetricsRegistry reg;
+  ResultCache cache(8, 64 << 10, reg);
   std::atomic<std::uint64_t> gets{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -121,7 +143,7 @@ TEST(ResultCache, ShardIndependenceUnderThreadHammer) {
         if (rng.bernoulli(0.5)) {
           cache.put(key, canonical, "value-" + std::to_string(key));
         } else {
-          const auto v = cache.get(key, canonical);
+          const auto v = lookup(cache, key, canonical);
           if (v.has_value()) {
             // Values are immutable per key: no torn reads under races.
             EXPECT_EQ(*v, "value-" + std::to_string(key));
@@ -149,7 +171,7 @@ TEST(ResultCache, ShardIndependenceUnderThreadHammer) {
   std::size_t resident_bytes = 0;
   for (std::uint64_t key = 0; key < 256; ++key) {
     const std::string canonical = "canon-" + std::to_string(key);
-    if (cache.get(key, canonical).has_value()) {
+    if (lookup(cache, key, canonical).has_value()) {
       ++resident;
       resident_bytes +=
           ResultCache::entry_cost(canonical, "value-" + std::to_string(key));
@@ -175,7 +197,8 @@ TEST(ResultCache, ShardIndependenceUnderThreadHammer) {
 }
 
 TEST(TraceStore, PresetMatchesBatchGeneratorBitForBit) {
-  TraceStore store;
+  obs::MetricsRegistry reg;
+  TraceStore store(reg);
   const auto eso = store.preset("ESO");
   const auto batch = grid::generate_traces({grid::eso()});
   ASSERT_EQ(eso->size(), batch[0].size());
@@ -192,7 +215,8 @@ TEST(TraceStore, PresetMatchesBatchGeneratorBitForBit) {
 }
 
 TEST(TraceStore, ImportedParsesOnceAndCachesTheNote) {
-  TraceStore store;
+  obs::MetricsRegistry reg;
+  TraceStore store(reg);
   std::string note1, note2;
   const auto a = store.imported("ESO", fixture_path(), &note1);
   const auto b = store.imported("ESO", fixture_path(), &note2);
@@ -209,14 +233,11 @@ TEST(TraceStore, ImportedParsesOnceAndCachesTheNote) {
   const auto c = store.imported("CISO", fixture_path());
   EXPECT_NE(c.get(), a.get());
   EXPECT_EQ(store.size(), 2u);
-
-  store.clear();
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.misses(), 0u);
 }
 
 TEST(TraceStore, ImportCapEvictsLeastRecentlyUsedImportOnly) {
-  TraceStore store;
+  obs::MetricsRegistry reg;
+  TraceStore store(reg);
   store.set_max_imports(2);
   EXPECT_EQ(store.max_imports(), 2u);
   const auto preset = store.preset("ESO");  // never evicted
