@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -145,6 +148,52 @@ TEST(ScenarioRunner, UncertaintyAddsSavingsQuantiles) {
   plain.uncertainty_samples = 0;
   EXPECT_EQ(run_scenarios(plain).to_csv().find("savings_p05"),
             std::string::npos);
+}
+
+// Pins every ScenarioRow of the all-region matrix bit for bit: each double
+// is written as a %a hexfloat (csv_num keeps only 6 significant digits, so
+// a CSV golden would miss a last-bit change). To regenerate after an
+// intentional change, run with HPCARBON_REGEN_GOLDEN=1 and commit the
+// rewritten fixture with the reason the numbers moved.
+TEST(ScenarioRunner, AllRegionsMatchHexfloatGolden) {
+  ScenarioOptions opts;
+  opts.regions = region_codes();
+  opts.horizon_days = 7;
+  opts.uncertainty_samples = 3;
+  const ScenarioReport report = run_scenarios(opts);
+
+  std::vector<std::string> produced = {"jobs\t" + std::to_string(report.jobs)};
+  for (const auto& r : report.rows) {
+    std::string line = r.region + '\t' + r.policy;
+    for (const double v :
+         {r.median_ci_g_per_kwh, r.cov_percent, r.carbon_kg,
+          r.savings_vs_fcfs_pct, r.mean_wait_hours, r.p95_wait_hours,
+          r.savings_p05, r.savings_p50, r.savings_p95}) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "\t%a", v);
+      line += buf;
+    }
+    line += '\t' + std::to_string(r.remote_dispatches) + '\t' +
+            std::to_string(r.jobs_completed);
+    produced.push_back(std::move(line));
+  }
+
+  const std::string path =
+      std::string(HPCARBON_TEST_DATA_DIR) + "/scenario_golden.tsv";
+  if (const char* env = std::getenv("HPCARBON_REGEN_GOLDEN");
+      env != nullptr && env[0] != '\0' && env[0] != '0') {
+    std::ofstream out(path, std::ios::trunc);
+    for (const auto& l : produced) out << l << '\n';
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "cannot open " << path;
+  std::vector<std::string> golden;
+  for (std::string l; std::getline(in, l);) golden.push_back(l);
+  ASSERT_EQ(produced.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(produced[i], golden[i]) << "line " << i + 1 << " diverged";
+  }
 }
 
 TEST(Sweep, SectionsAreValidatedAndRowsSummarize) {
