@@ -116,6 +116,17 @@ std::size_t default_worker_threads() {
   return std::max<std::size_t>(2, std::thread::hardware_concurrency());
 }
 
+double parse_number(const char* flag, const std::string& value) {
+  try {
+    std::size_t consumed = 0;
+    const double v = std::stod(value, &consumed);
+    if (consumed != value.size()) throw std::invalid_argument(value);
+    return v;
+  } catch (const std::exception&) {
+    throw Error(std::string(flag) + " expects a number, got '" + value + "'");
+  }
+}
+
 namespace {
 
 int run_tool(ToolKind kind, const std::string& name, int argc, char** argv,
@@ -177,17 +188,6 @@ int cmd_policies() {
                "(canonical or short names);\nsee README \"Adding a "
                "scheduling policy\" to register your own.\n";
   return 0;
-}
-
-double parse_number(const char* flag, const std::string& value) {
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(value, &consumed);
-    if (consumed != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw Error(std::string(flag) + " expects a number, got '" + value + "'");
-  }
 }
 
 int cmd_run(int argc, char** argv, std::ostream& err) {

@@ -11,7 +11,9 @@
 // carry only the driver-level usage and diagnostics.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
+#include <string>
 
 namespace hpcarbon::cli {
 
@@ -23,6 +25,11 @@ int usage(std::ostream& out, int exit_code);
 /// workers so scenario/batch fan-out overlaps even on single-core
 /// machines. Shared by run, sweep, batch, and serve.
 std::size_t default_worker_threads();
+
+/// `value` as a number, all of it. Throws hpcarbon::Error "<flag> expects
+/// a number, got '<value>'" otherwise. Every subcommand's numeric flags
+/// parse through it.
+double parse_number(const char* flag, const std::string& value);
 
 /// Full driver dispatch over the original argc/argv (argv[0] is the
 /// program name). May throw hpcarbon::Error (main catches and maps to

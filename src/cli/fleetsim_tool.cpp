@@ -16,7 +16,6 @@
 #include "fleetsim/uncertainty.h"
 #include "fleetsim/workload.h"
 #include "grid/analysis.h"
-#include "grid/presets.h"
 #include "grid/region.h"
 #include "mc/engine.h"
 #include "sched/policy.h"
@@ -35,17 +34,6 @@ struct FleetsimOptions {
   std::string jobs_csv;  // replay instead of generating when non-empty
   std::size_t threads = 0;
 };
-
-double parse_number(const char* flag, const std::string& value) {
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(value, &consumed);
-    if (consumed != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw Error(std::string(flag) + " expects a number, got '" + value + "'");
-  }
-}
 
 int parse_positive_int(const char* flag, const std::string& value) {
   const double n = parse_number(flag, value);
@@ -123,44 +111,6 @@ FleetsimOptions parse_args(int argc, char** argv) {
   return opts;
 }
 
-/// Home region plus the two cleanest (lowest annual median CI) other
-/// selected regions — the same trio construction `hpcarbon run` and the
-/// serve `sched`/`fleetsim` families use.
-std::vector<sched::Site> build_sites(const std::vector<std::string>& codes,
-                                     int capacity) {
-  std::vector<grid::RegionSpec> specs;
-  for (const auto& code : codes) {
-    if (const auto spec = grid::find_region(code)) {
-      specs.push_back(*spec);
-    } else {
-      std::string known;
-      for (const auto& c : region_codes()) {
-        known += (known.empty() ? "" : ", ") + c;
-      }
-      throw Error("unknown region code '" + code + "' (known: " + known + ")");
-    }
-  }
-  const auto traces = traces_for(specs, {});
-  std::vector<std::size_t> by_median(codes.size());
-  for (std::size_t i = 0; i < by_median.size(); ++i) by_median[i] = i;
-  std::vector<double> medians;
-  medians.reserve(traces.size());
-  for (const auto& trace : traces) {
-    medians.push_back(grid::summarize(trace).box.median);
-  }
-  std::sort(by_median.begin(), by_median.end(),
-            [&](std::size_t a, std::size_t b) {
-              return medians[a] < medians[b];
-            });
-  std::vector<sched::Site> sites = {
-      sched::make_site(codes[0], traces[0], capacity)};
-  for (const std::size_t idx : by_median) {
-    if (idx == 0 || sites.size() >= 3) continue;
-    sites.push_back(sched::make_site(codes[idx], traces[idx], capacity));
-  }
-  return sites;
-}
-
 }  // namespace
 
 int cmd_fleetsim(int argc, char** argv, std::ostream& err) {
@@ -169,8 +119,18 @@ int cmd_fleetsim(int argc, char** argv, std::ostream& err) {
   ThreadPool::set_global_threads(opts.threads > 0 ? opts.threads
                                                   : default_worker_threads());
 
-  const std::vector<sched::Site> sites =
-      build_sites(opts.regions, opts.capacity);
+  // Home region (regions[0]) plus the two cleanest other selected ones.
+  std::vector<grid::RegionSpec> specs;
+  for (const auto& code : opts.regions) specs.push_back(region_spec(code));
+  const auto traces = traces_for(specs, {});
+  std::vector<const grid::CarbonIntensityTrace*> trace_ptrs;
+  std::vector<double> medians;
+  for (const auto& trace : traces) {
+    trace_ptrs.push_back(&trace);
+    medians.push_back(grid::summarize(trace).box.median);
+  }
+  const std::vector<sched::Site> sites = sched::site_trio(
+      0, opts.regions, trace_ptrs, medians, opts.capacity);
   const fleetsim::FleetEngine engine(sites,
                                      HourOfYear(month_start_hour(5)));
 
@@ -232,7 +192,7 @@ int cmd_fleetsim(int argc, char** argv, std::ostream& err) {
     std::vector<std::string> row = {
         name,
         TextTable::num(metrics.total_carbon.to_kilograms(), 1),
-        TextTable::num(base_g > 0 ? 100.0 * (base_g - g) / base_g : 0.0, 2),
+        TextTable::num(fleetsim::savings_percent(base_g, g), 2),
         TextTable::num(metrics.mean_wait_hours, 2),
         TextTable::num(metrics.p95_wait_hours, 2),
         std::to_string(metrics.remote_dispatches),

@@ -26,17 +26,6 @@
 
 namespace hpcarbon::cli {
 
-namespace {
-
-grid::RegionSpec spec_for_code(const std::string& code) {
-  if (const auto spec = grid::find_region(code)) return *spec;
-  std::string known;
-  for (const auto& c : region_codes()) known += (known.empty() ? "" : ", ") + c;
-  throw Error("unknown region code '" + code + "' (known: " + known + ")");
-}
-
-}  // namespace
-
 std::pair<std::string, std::string> parse_trace_override(
     const std::string& spec) {
   const std::size_t eq = spec.find('=');
@@ -99,6 +88,13 @@ std::vector<std::string> region_codes() {
   return grid::codes_of(grid::all_regions());
 }
 
+grid::RegionSpec region_spec(const std::string& code) {
+  if (const auto spec = grid::find_region(code)) return *spec;
+  std::string known;
+  for (const auto& c : region_codes()) known += (known.empty() ? "" : ", ") + c;
+  throw Error("unknown region code '" + code + "' (known: " + known + ")");
+}
+
 std::vector<std::string> policy_names() {
   std::vector<std::string> names;
   for (const auto& desc : sched::registered_policies()) {
@@ -124,7 +120,7 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
   if (opts.regions.empty()) {
     specs = grid::all_regions();
   } else {
-    for (const auto& code : opts.regions) specs.push_back(spec_for_code(code));
+    for (const auto& code : opts.regions) specs.push_back(region_spec(code));
   }
 
   // "fcfs-local" always runs first: it is the savings denominator. The
@@ -152,35 +148,28 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
   const auto traces = traces_for(specs, opts.trace_csv, &trace_notes);
   const auto summaries = grid::summarize(traces);
 
-  // Cleanest-first region order (by annual median CI) decides which sites
-  // serve as remote-dispatch options for each home region.
-  std::vector<std::size_t> by_median(specs.size());
-  for (std::size_t i = 0; i < by_median.size(); ++i) by_median[i] = i;
-  std::sort(by_median.begin(), by_median.end(),
-            [&](std::size_t a, std::size_t b) {
-              return summaries[a].box.median < summaries[b].box.median;
-            });
-
   fleetsim::FleetWorkloadParams wp;
   wp.horizon_hours = 24.0 * opts.horizon_days;
   wp.rate_per_hour = opts.arrival_rate_per_hour;
   const fleetsim::FleetJobs jobs = fleetsim::generate_fleet_jobs(wp);
   const HourOfYear epoch(month_start_hour(opts.start_month));
 
-  // One engine per home region: home + the two cleanest other regions, the
-  // same trio for every policy cell and every uncertainty sample of a
-  // region (run() is const, so cells share it across pool threads).
+  // One engine per home region on its site trio, the same trio for every
+  // policy cell and every uncertainty sample of a region (run() is const,
+  // so cells share it across pool threads).
+  const std::vector<std::string> codes = grid::codes_of(specs);
+  std::vector<const grid::CarbonIntensityTrace*> trace_ptrs;
+  std::vector<double> medians;
+  for (std::size_t r = 0; r < specs.size(); ++r) {
+    trace_ptrs.push_back(&traces[r]);
+    medians.push_back(summaries[r].box.median);
+  }
   std::vector<fleetsim::FleetEngine> engines;
   engines.reserve(specs.size());
   for (std::size_t r = 0; r < specs.size(); ++r) {
-    std::vector<sched::Site> sites = {
-        sched::make_site(specs[r].code, traces[r], opts.site_capacity)};
-    for (std::size_t idx : by_median) {
-      if (idx == r || sites.size() >= 3) continue;
-      sites.push_back(sched::make_site(specs[idx].code, traces[idx],
-                                       opts.site_capacity));
-    }
-    engines.emplace_back(std::move(sites), epoch);
+    engines.emplace_back(sched::site_trio(r, codes, trace_ptrs, medians,
+                                          opts.site_capacity),
+                         epoch);
   }
 
   // Stage 2 — the (region x policy) ablation matrix on the global pool.
@@ -223,8 +212,7 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
     const double base = report.rows[r * policies.size()].carbon_kg;
     for (std::size_t p = 0; p < policies.size(); ++p) {
       ScenarioRow& row = report.rows[r * policies.size() + p];
-      row.savings_vs_fcfs_pct = base > 0 ? 100.0 * (base - row.carbon_kg) / base
-                                         : 0.0;
+      row.savings_vs_fcfs_pct = fleetsim::savings_percent(base, row.carbon_kg);
     }
   }
 

@@ -95,6 +95,10 @@ struct ScenarioReport {
 /// All Table 3 region codes, in paper order.
 std::vector<std::string> region_codes();
 
+/// The Table 3 region with this code. Throws hpcarbon::Error listing the
+/// known codes otherwise.
+grid::RegionSpec region_spec(const std::string& code);
+
 /// Short names of every registered policy, in registration order.
 std::vector<std::string> policy_names();
 

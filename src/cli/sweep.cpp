@@ -43,11 +43,6 @@ SweepRow make_row(std::string section, std::string quantity, std::string unit,
   return r;
 }
 
-grid::RegionSpec region_spec(const std::string& code) {
-  if (const auto spec = grid::find_region(code)) return *spec;
-  throw Error("unknown region code '" + code + "' (see `hpcarbon list`)");
-}
-
 /// The subset of --trace-csv overrides naming one of `codes` (sections use
 /// different region sets, and an override that matches no section at all is
 /// rejected up front in run_sweep).
@@ -286,15 +281,7 @@ int cmd_sweep(int argc, char** argv) {
       return argv[++i];
     };
     auto next_number = [&](const char* flag) {
-      const std::string v = next_value(flag);
-      try {
-        std::size_t consumed = 0;
-        const double parsed = std::stod(v, &consumed);
-        if (consumed != v.size()) throw std::invalid_argument(v);
-        return parsed;
-      } catch (const std::exception&) {
-        throw Error(std::string(flag) + " expects a number, got '" + v + "'");
-      }
+      return parse_number(flag, next_value(flag));
     };
     auto next_count = [&](const char* flag) {
       const double n = next_number(flag);

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/dispatch.h"
 #include "core/csv.h"
 #include "core/error.h"
 #include "core/table.h"
@@ -35,17 +36,6 @@ int trace_usage(std::ostream& out, int exit_code) {
          "  --no-tile          fail instead of tiling sub-year coverage\n"
          "  --out PATH         write output CSV here instead of stdout\n";
   return exit_code;
-}
-
-double parse_number(const char* flag, const std::string& value) {
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(value, &consumed);
-    if (consumed != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw Error(std::string(flag) + " expects a number, got '" + value + "'");
-  }
 }
 
 struct TraceArgs {

@@ -18,7 +18,7 @@ void fleet_savings_sample(const FleetEngine& engine,
     const double g = policy->name() == baseline->name()
                          ? base_g
                          : engine.run(jobs, *policy).total_carbon.to_grams();
-    out[p] = base_g > 0 ? 100.0 * (base_g - g) / base_g : 0.0;
+    out[p] = savings_percent(base_g, g);
   }
 }
 

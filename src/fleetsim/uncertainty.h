@@ -24,6 +24,12 @@
 
 namespace hpcarbon::fleetsim {
 
+/// Carbon saved by `value` relative to the fcfs-local `base`, in percent
+/// of `base` (0 when `base` is not positive). Both share one unit.
+inline double savings_percent(double base, double value) {
+  return base > 0 ? 100.0 * (base - value) / base : 0.0;
+}
+
 /// One joint draw: the workload `base` with its seed replaced by
 /// rng.next_u64(), scored by the fcfs-local baseline and every policy in
 /// `policy_names` on `engine`. Writes savings% vs the baseline into

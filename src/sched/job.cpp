@@ -1,5 +1,7 @@
 #include "sched/job.h"
 
+#include <algorithm>
+
 namespace hpcarbon::sched {
 
 Site make_site(const std::string& code,
@@ -11,6 +13,26 @@ Site make_site(const std::string& code,
   s.capacity = capacity;
   s.transfer_energy = transfer_energy;
   return s;
+}
+
+std::vector<Site> site_trio(
+    std::size_t home, std::span<const std::string> codes,
+    std::span<const grid::CarbonIntensityTrace* const> traces,
+    std::span<const double> medians, int capacity) {
+  std::vector<std::size_t> by_median(codes.size());
+  for (std::size_t i = 0; i < by_median.size(); ++i) by_median[i] = i;
+  std::sort(by_median.begin(), by_median.end(),
+            [&](std::size_t a, std::size_t b) {
+              return medians[a] < medians[b];
+            });
+  std::vector<Site> sites;
+  sites.reserve(3);
+  sites.push_back(make_site(codes[home], *traces[home], capacity));
+  for (const std::size_t idx : by_median) {
+    if (idx == home || sites.size() >= 3) continue;
+    sites.push_back(make_site(codes[idx], *traces[idx], capacity));
+  }
+  return sites;
 }
 
 }  // namespace hpcarbon::sched

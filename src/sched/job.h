@@ -10,7 +10,10 @@
 // the engine itself is fleetsim::FleetEngine (fleetsim/engine.h).
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/units.h"
 #include "grid/trace.h"
@@ -40,6 +43,16 @@ struct Site {
 
 Site make_site(const std::string& code, const grid::CarbonIntensityTrace& local,
                int capacity, Energy transfer_energy = Energy::kilowatt_hours(0.5));
+
+/// The cross-region placement rule of Sec. 4: region `home` plus the two
+/// other regions with the lowest annual median CI, each as a site of
+/// `capacity` nodes. codes[i], traces[i] and medians[i] describe region i;
+/// the traces are read, never copied. Ties keep std::sort's order over the
+/// region indices, so every caller gets the same trio for the same input.
+std::vector<Site> site_trio(
+    std::size_t home, std::span<const std::string> codes,
+    std::span<const grid::CarbonIntensityTrace* const> traces,
+    std::span<const double> medians, int capacity);
 
 /// Whole-run totals of one engine run under one policy.
 struct ScheduleMetrics {

@@ -1,6 +1,5 @@
 #include "serve/engine.h"
 
-#include <algorithm>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -141,38 +140,22 @@ json::Value evaluate_breakeven(const json::Value& params) {
   return out;
 }
 
-/// Site trio shared by the sched and fleetsim families, mirroring
-/// run_scenarios: the home region (regions[0]) plus the two cleanest
-/// (lowest annual median CI) other selected regions as remote options —
-/// same construction, same numbers.
+/// The sched and fleetsim families' sites: sched::site_trio with
+/// regions[0] as home, over the store's preset traces.
 std::vector<sched::Site> query_sites(const json::Value& params,
                                      TraceStore& traces) {
   std::vector<std::string> codes;
+  std::vector<TraceStore::TracePtr> held;
+  std::vector<const grid::CarbonIntensityTrace*> region_traces;
+  std::vector<double> medians;
   for (const auto& item : params.find("regions")->items()) {
     codes.push_back(item.as_string());
+    held.push_back(traces.preset(codes.back()));
+    region_traces.push_back(held.back().get());
+    medians.push_back(grid::summarize(*held.back()).box.median);
   }
-  std::vector<TraceStore::TracePtr> region_traces;
-  std::vector<grid::RegionSummary> summaries;
-  for (const auto& code : codes) {
-    region_traces.push_back(traces.preset(code));
-    summaries.push_back(grid::summarize(*region_traces.back()));
-  }
-
-  std::vector<std::size_t> by_median(codes.size());
-  for (std::size_t i = 0; i < by_median.size(); ++i) by_median[i] = i;
-  std::sort(by_median.begin(), by_median.end(),
-            [&](std::size_t a, std::size_t b) {
-              return summaries[a].box.median < summaries[b].box.median;
-            });
-  const int capacity = static_cast<int>(num(params, "capacity"));
-  std::vector<sched::Site> sites = {
-      sched::make_site(codes[0], *region_traces[0], capacity)};
-  for (const std::size_t idx : by_median) {
-    if (idx == 0 || sites.size() >= 3) continue;
-    sites.push_back(
-        sched::make_site(codes[idx], *region_traces[idx], capacity));
-  }
-  return sites;
+  return sched::site_trio(0, codes, region_traces, medians,
+                          static_cast<int>(num(params, "capacity")));
 }
 
 /// The fleetsim family: the site trio, a generated workload, and the
@@ -208,8 +191,8 @@ json::Value evaluate_fleetsim(const json::Value& params, TraceStore& traces) {
   out.set("p95_wait_hours", json::Value::number(metrics.p95_wait_hours));
   out.set("process", json::Value::string(fleetsim::to_string(wp.process)));
   out.set("remote_dispatches", json::Value::number(metrics.remote_dispatches));
-  out.set("savings_pct", json::Value::number(
-                             base_g > 0 ? 100.0 * (base_g - g) / base_g : 0.0));
+  out.set("savings_pct",
+          json::Value::number(fleetsim::savings_percent(base_g, g)));
   out.set("utilization", json::Value::number(metrics.utilization));
 
   const int samples = static_cast<int>(num(params, "samples"));
