@@ -86,6 +86,9 @@ struct Server::Conn {
   std::size_t out_bytes = 0;
   std::uint64_t last_activity_ms = 0;
   std::uint64_t opened_at_ticks = 0;  // obs::ticks() at accept
+  // Trailing slots not yet submitted: they wait behind a control line
+  // (see drain_ready_slots). Always a suffix of `slots`.
+  std::size_t held = 0;
   std::uint32_t interest = 0;  // current epoll event mask
   bool got_eof = false;
   bool paused = false;  // read high-watermark backpressure
@@ -285,17 +288,22 @@ void Server::enqueue_line(const std::shared_ptr<Conn>& c,
   }
   Slot& slot = c->slots.emplace_back();
   slot.line.assign(line);
-  if (!try_submit(c, &slot)) {
-    // Shed: answer in-order with an explicit error instead of queueing.
-    fe_stats_.requests_shed.inc();
-    serve::append_error_response(
-        slot.response, {},
-        "server overloaded: in-flight queue full (max " +
-            std::to_string(opts_.max_inflight) + "), request shed");
-    slot.response += '\n';
-    // Same-thread consumer (drain_ready_slots) — relaxed is enough.
-    slot.done.store(true, std::memory_order_relaxed);
-  }
+  slot.control = serve::is_control_line(line);
+  ++c->held;
+  drain_ready_slots(c);  // submits it unless a control line holds it back
+}
+
+void Server::submit(const std::shared_ptr<Conn>& c, Slot& slot) {
+  if (try_submit(c, &slot)) return;
+  // Shed: answer in-order with an explicit error instead of queueing.
+  fe_stats_.requests_shed.inc();
+  serve::append_error_response(
+      slot.response, {},
+      "server overloaded: in-flight queue full (max " +
+          std::to_string(opts_.max_inflight) + "), request shed");
+  slot.response += '\n';
+  // Same-thread consumer (drain_ready_slots) — relaxed is enough.
+  slot.done.store(true, std::memory_order_relaxed);
 }
 
 void Server::enqueue_preanswered(const std::shared_ptr<Conn>& c,
@@ -311,6 +319,7 @@ void Server::enqueue_preanswered(const std::shared_ptr<Conn>& c,
   Slot& slot = c->slots.emplace_back();
   slot.response.assign(response_line);
   slot.done.store(true, std::memory_order_relaxed);
+  if (c->held > 0) ++c->held;  // keeps the held slots a suffix
 }
 
 void Server::process_framed(const std::shared_ptr<Conn>& c, bool at_eof) {
@@ -369,17 +378,28 @@ void Server::read_ready(const std::shared_ptr<Conn>& c) {
 }
 
 void Server::drain_ready_slots(const std::shared_ptr<Conn>& c) {
-  while (!c->slots.empty() &&
-         c->slots.front().done.load(std::memory_order_acquire)) {
-    std::string& resp = c->slots.front().response;
-    const std::size_t bytes = resp.size();
-    if (c->outq.empty() || c->outq.back().size() >= kOutBlockTarget) {
-      c->outq.push_back(std::move(resp));  // adopt the buffer, no copy
-    } else {
-      c->outq.back().append(resp);
+  while (true) {
+    while (!c->slots.empty() &&
+           c->slots.front().done.load(std::memory_order_acquire)) {
+      std::string& resp = c->slots.front().response;
+      const std::size_t bytes = resp.size();
+      if (c->outq.empty() || c->outq.back().size() >= kOutBlockTarget) {
+        c->outq.push_back(std::move(resp));  // adopt the buffer, no copy
+      } else {
+        c->outq.back().append(resp);
+      }
+      c->out_bytes += bytes;
+      c->slots.pop_front();
     }
-    c->out_bytes += bytes;
-    c->slots.pop_front();
+    if (c->held == 0) return;
+    // Submit held slots in order. A control line is a sequence point: it
+    // waits until every earlier slot is done (and popped above), and later
+    // slots wait while it is in flight at the front.
+    const std::size_t i = c->slots.size() - c->held;
+    Slot& slot = c->slots[i];
+    if (i > 0 && (slot.control || c->slots.front().control)) return;
+    --c->held;
+    if (!slot.done.load(std::memory_order_relaxed)) submit(c, slot);
   }
 }
 

@@ -24,6 +24,10 @@
 // Pipelining: clients may send any number of requests without waiting;
 // responses always come back in request order per connection (slots
 // complete out of order across workers, but are flushed strictly FIFO).
+// A {"op":"stats"} or {"op":"metrics"} line is a sequence point, as on
+// every front-end: a worker takes it only once every earlier slot on its
+// connection is done, and later slots wait until it is done, so its
+// counters cover exactly the lines before it.
 //
 // Overload & abuse guards: bounded in-flight queue (shed), per-connection
 // read high-watermark (reads pause while the untransmitted output
@@ -152,6 +156,7 @@ class Server {
   struct Slot {
     std::string line;      // owned request bytes (worker input)
     std::string response;  // filled by the worker, trailing '\n' included
+    bool control = false;  // serve::is_control_line: a sequence point
     std::atomic<bool> done{false};
   };
 
@@ -167,6 +172,7 @@ class Server {
   void read_ready(const std::shared_ptr<Conn>& c);
   void process_framed(const std::shared_ptr<Conn>& c, bool at_eof);
   void enqueue_line(const std::shared_ptr<Conn>& c, std::string_view line);
+  void submit(const std::shared_ptr<Conn>& c, Slot& slot);
   void enqueue_preanswered(const std::shared_ptr<Conn>& c,
                            std::string_view response_line);
   void drain_ready_slots(const std::shared_ptr<Conn>& c);

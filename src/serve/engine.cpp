@@ -303,6 +303,27 @@ struct Planned {
   std::string control_id; // kStats / kMetrics
 };
 
+/// One reader per thread: node pool and unescape arena warm up once and
+/// every subsequent line parses with zero allocations. Lines are only
+/// parsed on the thread that called handle_line/handle_batch or
+/// is_control_line (the pool fan-out evaluates already-planned queries),
+/// and no caller keeps views into the reader past the next parse.
+json::Reader& thread_reader() {
+  thread_local json::Reader reader;
+  return reader;
+}
+
+/// The control test: an object whose "op" is the string "stats" or
+/// "metrics". Returns that op, or an empty view.
+std::string_view control_op(const json::Reader& reader,
+                            json::Reader::Ref doc) {
+  if (!reader.is_object(doc)) return {};
+  const json::Reader::Ref op = reader.find(doc, "op");
+  if (op == json::Reader::kNone || !reader.is_string(op)) return {};
+  const std::string_view name = reader.as_string(op);
+  return name == "stats" || name == "metrics" ? name : std::string_view{};
+}
+
 Planned plan_line(std::string_view line) {
   // Reject oversized lines before parsing (and before any id salvage —
   // the streaming front-ends never materialize the oversized bytes, so
@@ -313,12 +334,7 @@ Planned plan_line(std::string_view line) {
     p.response = error_response({}, oversize_line_error(line.size()));
     return p;
   }
-  // One reader per thread: node pool and unescape arena warm up once and
-  // every subsequent line parses with zero allocations. plan_line only
-  // runs on the thread that called handle_line/handle_batch (the pool
-  // fan-out evaluates already-planned queries), and nothing below keeps
-  // views into the reader past the next parse — Planned owns its strings.
-  thread_local json::Reader reader;
+  json::Reader& reader = thread_reader();
   constexpr json::Reader::Ref kNone = json::Reader::kNone;
   Planned p;
   json::Reader::Ref doc = kNone;
@@ -328,36 +344,31 @@ Planned plan_line(std::string_view line) {
     p.response = error_response({}, e.what());
     return p;
   }
-  if (reader.is_object(doc)) {
-    if (const json::Reader::Ref op = reader.find(doc, "op");
-        op != kNone && reader.is_string(op) &&
-        (reader.as_string(op) == "stats" ||
-         reader.as_string(op) == "metrics")) {
-      const bool is_stats = reader.as_string(op) == "stats";
-      // The control requests are validated as strictly as any family:
-      // unknown fields and a non-string id are errors, not defaults.
-      for (json::Reader::Ref f = reader.first_child(doc); f != kNone;
-           f = reader.next(f)) {
-        const std::string_view k = reader.key(f);
-        if (k != "op" && k != "id") {
-          p.response = error_response(
-              salvage_id(reader, doc),
-              "request has unknown top-level field '" + std::string(k) +
-                  "' (" + (is_stats ? "stats" : "metrics") +
-                  " takes only op and id)");
-          return p;
-        }
+  if (const std::string_view op = control_op(reader, doc); !op.empty()) {
+    const bool is_stats = op == "stats";
+    // The control requests are validated as strictly as any family:
+    // unknown fields and a non-string id are errors, not defaults.
+    for (json::Reader::Ref f = reader.first_child(doc); f != kNone;
+         f = reader.next(f)) {
+      const std::string_view k = reader.key(f);
+      if (k != "op" && k != "id") {
+        p.response = error_response(
+            salvage_id(reader, doc),
+            "request has unknown top-level field '" + std::string(k) +
+                "' (" + (is_stats ? "stats" : "metrics") +
+                " takes only op and id)");
+        return p;
       }
-      if (const json::Reader::Ref id = reader.find(doc, "id"); id != kNone) {
-        if (!reader.is_string(id)) {
-          p.response = error_response({}, "request 'id' must be a string");
-          return p;
-        }
-        p.control_id = reader.as_string(id);
-      }
-      p.kind = is_stats ? Planned::Kind::kStats : Planned::Kind::kMetrics;
-      return p;
     }
+    if (const json::Reader::Ref id = reader.find(doc, "id"); id != kNone) {
+      if (!reader.is_string(id)) {
+        p.response = error_response({}, "request 'id' must be a string");
+        return p;
+      }
+      p.control_id = reader.as_string(id);
+    }
+    p.kind = is_stats ? Planned::Kind::kStats : Planned::Kind::kMetrics;
+    return p;
   }
   try {
     p.q = parse_query(reader, doc);
@@ -400,6 +411,16 @@ void append_error_response(std::string& out, std::string_view id,
     json::quote_to(out, id);
   }
   out += ",\"ok\":false}";
+}
+
+bool is_control_line(std::string_view line) {
+  if (line.size() > kMaxRequestLineBytes) return false;
+  json::Reader& reader = thread_reader();
+  try {
+    return !control_op(reader, reader.parse(line)).empty();
+  } catch (const Error&) {
+    return false;
+  }
 }
 
 std::string oversize_line_error(std::size_t line_bytes) {

@@ -66,6 +66,13 @@ struct ServeOptions {
 void append_error_response(std::string& out, std::string_view id,
                            std::string_view what);
 
+/// True when `line` parses to an object whose "op" is "stats" or
+/// "metrics": the engine's own control test, applied before the request
+/// is validated. A control line is a sequence point on every front-end:
+/// it reports the counters after every earlier line on its stream and
+/// none of the later ones.
+bool is_control_line(std::string_view line);
+
 /// Answer one validated query against the library (no caching). Returns
 /// the result object; throws hpcarbon::Error for runtime failures (e.g. an
 /// unreadable trace_csv path). Exposed for tests that compare service
@@ -116,8 +123,9 @@ class Engine {
   /// `lines` and byte-identical to feeding the lines through handle_line
   /// one at a time on an equally-warm engine. Distinct uncached queries
   /// evaluate concurrently; duplicates within the batch evaluate once; a
-  /// stats line is a sequence point (it reports counters as of
-  /// everything before it in the batch, like a sequential replay would).
+  /// control line (is_control_line) is a sequence point, as on every
+  /// front-end: it reports counters as of everything before it in the
+  /// batch, like a sequential replay would.
   /// Caveat: when the cache is so small that entries evict each other
   /// *within one segment*, leader puts race and the hit/miss/eviction
   /// counts a stats line reports can differ from sequential replay —

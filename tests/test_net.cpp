@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/error.h"
+#include "core/json.h"
 #include "net/framing.h"
 #include "net/listener.h"
 #include "net/loadgen.h"
@@ -260,6 +261,61 @@ TEST(NetServer, UnixSocketByteIdenticalToBatch) {
   expect_socket_matches_batch(std::move(opts));
   EXPECT_NE(::access(test_socket_path("uds").c_str(), F_OK), 0)
       << "drain must unlink the socket file";
+}
+
+/// A stats response without its net_* fields: those count socket
+/// traffic, which an off-socket engine never sees (they read 0 there).
+std::string without_net_fields(const std::string& line) {
+  json::Value doc = json::Value::parse(line);
+  json::Value result = json::Value::object();
+  for (const auto& [key, value] : doc.find("result")->members()) {
+    if (key.rfind("net_", 0) != 0) result.set(key, value);
+  }
+  doc.set("result", std::move(result));
+  return doc.dump();
+}
+
+TEST(NetServer, StatsLinesAreSequencePointsInWorkerMode) {
+  // A control line answers after every earlier line on its connection and
+  // before every later one, as handle_batch does. The stats line after q6
+  // also keeps the duplicate q7 from racing q1, so both sides count the
+  // same hits, misses and trace lookups.
+  auto requests = fixture_requests();
+  ASSERT_EQ(requests.size(), 9u);
+  const std::string stats = R"({"op":"stats","id":"s"})";
+  requests.insert(requests.begin() + 6, stats);
+  requests.push_back(stats);
+
+  obs::MetricsRegistry oracle_reg;
+  serve::TraceStore oracle_traces(oracle_reg);
+  serve::ServeOptions oracle_opts;
+  oracle_opts.registry = &oracle_reg;
+  oracle_opts.traces = &oracle_traces;
+  serve::Engine oracle(oracle_opts);
+  const auto expected = oracle.handle_batch(requests);
+
+  obs::MetricsRegistry reg;
+  serve::TraceStore traces(reg);
+  net::ServerOptions opts;
+  opts.workers = 3;
+  opts.serve.registry = &reg;
+  opts.serve.traces = &traces;
+  TestServer ts(std::move(opts));
+  const int fd = ts.connect();
+  std::string payload;
+  for (const auto& r : requests) payload += r + "\n";
+  send_all(fd, payload);
+  const auto got = read_lines(fd, requests.size());
+  ::close(fd);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    if (requests[i] == stats) {
+      EXPECT_EQ(without_net_fields(got[i]), without_net_fields(expected[i]))
+          << "stats line " << i << " diverged";
+    } else {
+      EXPECT_EQ(got[i], expected[i]) << "response " << i << " diverged";
+    }
+  }
 }
 
 TEST(NetServer, IdleMetricsSnapshotByteIdenticalToPipe) {

@@ -59,6 +59,37 @@ std::vector<Job> simple_jobs(int n, double power_kw = 1.0,
   return jobs;
 }
 
+TEST(Scheduler, SiteTrioIsHomePlusTwoCleanestOthers) {
+  const std::vector<std::string> codes = {"A", "B", "C", "D", "E"};
+  const std::vector<double> medians = {50, 300, 100, 100, 20};
+  std::vector<grid::CarbonIntensityTrace> traces;
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    traces.push_back(constant_trace(codes[i], medians[i]));
+  }
+  std::vector<const grid::CarbonIntensityTrace*> ptrs;
+  for (const auto& t : traces) ptrs.push_back(&t);
+
+  const auto code_list = [](const std::vector<Site>& sites) {
+    std::string out;
+    for (const auto& s : sites) out += s.code;
+    return out;
+  };
+  // Home first, then the cleanest others; the home never repeats.
+  EXPECT_EQ(code_list(site_trio(1, codes, ptrs, medians, 8)), "BEA");
+  EXPECT_EQ(code_list(site_trio(4, codes, ptrs, medians, 8)), "EAC");
+  // C and D tie at 100; std::sort over this small index vector keeps C
+  // first.
+  EXPECT_EQ(code_list(site_trio(0, codes, ptrs, medians, 8)), "AEC");
+  const auto sites = site_trio(3, codes, ptrs, medians, 8);
+  EXPECT_EQ(code_list(sites), "DEA");
+  EXPECT_EQ(sites[0].capacity, 8);
+  EXPECT_EQ(sites[1].trace_utc.values().front(), 20.0);
+  // Fewer than three regions: the trio is as large as the input.
+  EXPECT_EQ(code_list(site_trio(0, std::span(codes).first(2), ptrs, medians,
+                                8)),
+            "AB");
+}
+
 TEST(Scheduler, FcfsCarbonMatchesHandComputation) {
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 4)};
   FleetEngine engine(sites, HourOfYear(0), op::PueModel(1.0));
