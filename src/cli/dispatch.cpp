@@ -127,6 +127,18 @@ double parse_number(const char* flag, const std::string& value) {
   }
 }
 
+std::vector<std::string> split_list(const std::string& list) {
+  std::vector<std::string> items;
+  for (std::size_t pos = 0; pos != std::string::npos;) {
+    const std::size_t comma = list.find(',', pos);
+    std::string item =
+        list.substr(pos, comma == std::string::npos ? comma : comma - pos);
+    if (!item.empty()) items.push_back(std::move(item));
+    pos = comma == std::string::npos ? comma : comma + 1;
+  }
+  return items;
+}
+
 namespace {
 
 int run_tool(ToolKind kind, const std::string& name, int argc, char** argv,
@@ -204,14 +216,8 @@ int cmd_run(int argc, char** argv, std::ostream& err) {
     if (arg == "--all-regions") {
       all_regions = true;
     } else if (arg == "--policies") {
-      std::string list = next_value("--policies");
-      std::size_t pos = 0;
-      while (pos != std::string::npos) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string name =
-            list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        if (!name.empty()) opts.policies.push_back(parse_policy(name));
-        pos = comma == std::string::npos ? comma : comma + 1;
+      for (const auto& name : split_list(next_value("--policies"))) {
+        opts.policies.push_back(parse_policy(name));
       }
     } else if (arg == "--days") {
       opts.horizon_days = parse_number("--days", next_value("--days"));

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 namespace hpcarbon::cli {
 
@@ -30,6 +31,9 @@ std::size_t default_worker_threads();
 /// a number, got '<value>'" otherwise. Every subcommand's numeric flags
 /// parse through it.
 double parse_number(const char* flag, const std::string& value);
+
+/// The comma-separated items of `list` ("a,,b" -> {"a", "b"}).
+std::vector<std::string> split_list(const std::string& list);
 
 /// Full driver dispatch over the original argc/argv (argv[0] is the
 /// program name). May throw hpcarbon::Error (main catches and maps to

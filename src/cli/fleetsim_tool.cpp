@@ -52,14 +52,8 @@ FleetsimOptions parse_args(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--policies") {
-      std::string list = next_value("--policies");
-      std::size_t pos = 0;
-      while (pos != std::string::npos) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string name =
-            list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        if (!name.empty()) opts.policies.push_back(parse_policy(name));
-        pos = comma == std::string::npos ? comma : comma + 1;
+      for (const auto& name : split_list(next_value("--policies"))) {
+        opts.policies.push_back(parse_policy(name));
       }
     } else if (arg == "--process") {
       opts.workload.process =

@@ -108,9 +108,7 @@ std::string parse_policy(const std::string& name) {
     return desc->name;
   }
   std::string known;
-  for (const auto& desc : sched::registered_policies()) {
-    known += (known.empty() ? "" : ", ") + desc.short_name;
-  }
+  for (const auto& n : policy_names()) known += (known.empty() ? "" : ", ") + n;
   throw Error("unknown policy '" + name + "' (known: " + known + ")");
 }
 

@@ -300,19 +300,12 @@ int cmd_sweep(int argc, char** argv) {
     } else if (arg == "--seed") {
       opts.seed = static_cast<std::uint64_t>(next_number("--seed"));
     } else if (arg == "--section") {
-      std::string list = next_value("--section");
-      std::size_t pos = 0;
-      while (pos != std::string::npos) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string name =
-            list.substr(pos, comma == std::string::npos ? comma : comma - pos);
+      for (const auto& name : split_list(next_value("--section"))) {
         // Repeats would duplicate both the computation and the rows.
-        if (!name.empty() && std::find(opts.sections.begin(),
-                                       opts.sections.end(),
-                                       name) == opts.sections.end()) {
+        if (std::find(opts.sections.begin(), opts.sections.end(), name) ==
+            opts.sections.end()) {
           opts.sections.push_back(name);
         }
-        pos = comma == std::string::npos ? comma : comma + 1;
       }
     } else if (arg == "--region") {
       opts.region = next_value("--region");

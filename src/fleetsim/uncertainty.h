@@ -24,8 +24,7 @@
 
 namespace hpcarbon::fleetsim {
 
-/// Carbon saved by `value` relative to the fcfs-local `base`, in percent
-/// of `base` (0 when `base` is not positive). Both share one unit.
+/// Percent of the fcfs-local `base` saved by `value` (0 if base <= 0).
 inline double savings_percent(double base, double value) {
   return base > 0 ? 100.0 * (base - value) / base : 0.0;
 }

@@ -86,9 +86,7 @@ struct Server::Conn {
   std::size_t out_bytes = 0;
   std::uint64_t last_activity_ms = 0;
   std::uint64_t opened_at_ticks = 0;  // obs::ticks() at accept
-  // Trailing slots not yet submitted: they wait behind a control line
-  // (see drain_ready_slots). Always a suffix of `slots`.
-  std::size_t held = 0;
+  std::size_t held = 0;  // unsubmitted suffix of `slots` (drain_ready_slots)
   std::uint32_t interest = 0;  // current epoll event mask
   bool got_eof = false;
   bool paused = false;  // read high-watermark backpressure
@@ -293,19 +291,6 @@ void Server::enqueue_line(const std::shared_ptr<Conn>& c,
   drain_ready_slots(c);  // submits it unless a control line holds it back
 }
 
-void Server::submit(const std::shared_ptr<Conn>& c, Slot& slot) {
-  if (try_submit(c, &slot)) return;
-  // Shed: answer in-order with an explicit error instead of queueing.
-  fe_stats_.requests_shed.inc();
-  serve::append_error_response(
-      slot.response, {},
-      "server overloaded: in-flight queue full (max " +
-          std::to_string(opts_.max_inflight) + "), request shed");
-  slot.response += '\n';
-  // Same-thread consumer (drain_ready_slots) — relaxed is enough.
-  slot.done.store(true, std::memory_order_relaxed);
-}
-
 void Server::enqueue_preanswered(const std::shared_ptr<Conn>& c,
                                  std::string_view response_line) {
   if (c->slots.empty()) {
@@ -399,7 +384,18 @@ void Server::drain_ready_slots(const std::shared_ptr<Conn>& c) {
     Slot& slot = c->slots[i];
     if (i > 0 && (slot.control || c->slots.front().control)) return;
     --c->held;
-    if (!slot.done.load(std::memory_order_relaxed)) submit(c, slot);
+    if (slot.done.load(std::memory_order_relaxed) || try_submit(c, &slot)) {
+      continue;
+    }
+    // Shed: answer in-order with an explicit error instead of queueing.
+    fe_stats_.requests_shed.inc();
+    serve::append_error_response(
+        slot.response, {},
+        "server overloaded: in-flight queue full (max " +
+            std::to_string(opts_.max_inflight) + "), request shed");
+    slot.response += '\n';
+    // Same-thread consumer (this loop) — relaxed is enough.
+    slot.done.store(true, std::memory_order_relaxed);
   }
 }
 

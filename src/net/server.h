@@ -172,7 +172,6 @@ class Server {
   void read_ready(const std::shared_ptr<Conn>& c);
   void process_framed(const std::shared_ptr<Conn>& c, bool at_eof);
   void enqueue_line(const std::shared_ptr<Conn>& c, std::string_view line);
-  void submit(const std::shared_ptr<Conn>& c, Slot& slot);
   void enqueue_preanswered(const std::shared_ptr<Conn>& c,
                            std::string_view response_line);
   void drain_ready_slots(const std::shared_ptr<Conn>& c);

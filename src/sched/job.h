@@ -45,10 +45,9 @@ Site make_site(const std::string& code, const grid::CarbonIntensityTrace& local,
                int capacity, Energy transfer_energy = Energy::kilowatt_hours(0.5));
 
 /// The cross-region placement rule of Sec. 4: region `home` plus the two
-/// other regions with the lowest annual median CI, each as a site of
-/// `capacity` nodes. codes[i], traces[i] and medians[i] describe region i;
-/// the traces are read, never copied. Ties keep std::sort's order over the
-/// region indices, so every caller gets the same trio for the same input.
+/// other regions with the lowest annual median CI, as sites of `capacity`
+/// nodes. codes[i], traces[i] and medians[i] describe region i. Ties keep
+/// std::sort's order over the region indices.
 std::vector<Site> site_trio(
     std::size_t home, std::span<const std::string> codes,
     std::span<const grid::CarbonIntensityTrace* const> traces,

@@ -303,16 +303,6 @@ struct Planned {
   std::string control_id; // kStats / kMetrics
 };
 
-/// One reader per thread: node pool and unescape arena warm up once and
-/// every subsequent line parses with zero allocations. Lines are only
-/// parsed on the thread that called handle_line/handle_batch or
-/// is_control_line (the pool fan-out evaluates already-planned queries),
-/// and no caller keeps views into the reader past the next parse.
-json::Reader& thread_reader() {
-  thread_local json::Reader reader;
-  return reader;
-}
-
 /// The control test: an object whose "op" is the string "stats" or
 /// "metrics". Returns that op, or an empty view.
 std::string_view control_op(const json::Reader& reader,
@@ -334,7 +324,12 @@ Planned plan_line(std::string_view line) {
     p.response = error_response({}, oversize_line_error(line.size()));
     return p;
   }
-  json::Reader& reader = thread_reader();
+  // One reader per thread: node pool and unescape arena warm up once and
+  // every subsequent line parses with zero allocations. plan_line only
+  // runs on the thread that called handle_line/handle_batch (the pool
+  // fan-out evaluates already-planned queries), and nothing below keeps
+  // views into the reader past the next parse — Planned owns its strings.
+  thread_local json::Reader reader;
   constexpr json::Reader::Ref kNone = json::Reader::kNone;
   Planned p;
   json::Reader::Ref doc = kNone;
@@ -345,7 +340,6 @@ Planned plan_line(std::string_view line) {
     return p;
   }
   if (const std::string_view op = control_op(reader, doc); !op.empty()) {
-    const bool is_stats = op == "stats";
     // The control requests are validated as strictly as any family:
     // unknown fields and a non-string id are errors, not defaults.
     for (json::Reader::Ref f = reader.first_child(doc); f != kNone;
@@ -355,8 +349,7 @@ Planned plan_line(std::string_view line) {
         p.response = error_response(
             salvage_id(reader, doc),
             "request has unknown top-level field '" + std::string(k) +
-                "' (" + (is_stats ? "stats" : "metrics") +
-                " takes only op and id)");
+                "' (" + std::string(op) + " takes only op and id)");
         return p;
       }
     }
@@ -367,7 +360,7 @@ Planned plan_line(std::string_view line) {
       }
       p.control_id = reader.as_string(id);
     }
-    p.kind = is_stats ? Planned::Kind::kStats : Planned::Kind::kMetrics;
+    p.kind = op == "stats" ? Planned::Kind::kStats : Planned::Kind::kMetrics;
     return p;
   }
   try {
@@ -415,7 +408,7 @@ void append_error_response(std::string& out, std::string_view id,
 
 bool is_control_line(std::string_view line) {
   if (line.size() > kMaxRequestLineBytes) return false;
-  json::Reader& reader = thread_reader();
+  thread_local json::Reader reader;  // as in plan_line
   try {
     return !control_op(reader, reader.parse(line)).empty();
   } catch (const Error&) {

@@ -67,10 +67,9 @@ void append_error_response(std::string& out, std::string_view id,
                            std::string_view what);
 
 /// True when `line` parses to an object whose "op" is "stats" or
-/// "metrics": the engine's own control test, applied before the request
-/// is validated. A control line is a sequence point on every front-end:
-/// it reports the counters after every earlier line on its stream and
-/// none of the later ones.
+/// "metrics" (the engine's own control test). A control line is a sequence
+/// point on every front-end: it counts every earlier line on its stream
+/// and none of the later ones.
 bool is_control_line(std::string_view line);
 
 /// Answer one validated query against the library (no caching). Returns
