@@ -28,8 +28,8 @@ int usage(std::ostream& out, int exit_code);
 std::size_t default_worker_threads();
 
 /// `value` as a number, all of it. Throws hpcarbon::Error "<flag> expects
-/// a number, got '<value>'" otherwise. Every subcommand's numeric flags
-/// parse through it.
+/// a number, got '<value>'" otherwise. Shared by run, fleetsim, sweep and
+/// trace.
 double parse_number(const char* flag, const std::string& value);
 
 /// The comma-separated items of `list` ("a,,b" -> {"a", "b"}).
