@@ -30,11 +30,11 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/error.h"
 #include "core/json.h"
+#include "core/thread_pool.h"
 
 namespace hpcarbon::bench {
 
@@ -157,9 +157,9 @@ class Reporter {
     return "unknown";
   }
 
-  static std::size_t worker_threads() {
-    return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  /// Workers of the global pool the bench ran on (HPCARBON_THREADS when
+  /// set), not the machine's core count.
+  static std::size_t worker_threads() { return ThreadPool::global().size(); }
 
  private:
   struct Metric {

@@ -15,7 +15,6 @@
 #include "fleetsim/jobs.h"
 #include "fleetsim/uncertainty.h"
 #include "fleetsim/workload.h"
-#include "grid/analysis.h"
 #include "grid/region.h"
 #include "mc/engine.h"
 #include "sched/policy.h"
@@ -116,15 +115,8 @@ int cmd_fleetsim(int argc, char** argv, std::ostream& err) {
   // Home region (regions[0]) plus the two cleanest other selected ones.
   std::vector<grid::RegionSpec> specs;
   for (const auto& code : opts.regions) specs.push_back(region_spec(code));
-  const auto traces = traces_for(specs, {});
-  std::vector<const grid::CarbonIntensityTrace*> trace_ptrs;
-  std::vector<double> medians;
-  for (const auto& trace : traces) {
-    trace_ptrs.push_back(&trace);
-    medians.push_back(grid::summarize(trace).box.median);
-  }
-  const std::vector<sched::Site> sites = sched::site_trio(
-      0, opts.regions, trace_ptrs, medians, opts.capacity);
+  const std::vector<sched::Site> sites =
+      sched::site_trio(0, traces_for(specs, {}), opts.capacity);
   const fleetsim::FleetEngine engine(sites,
                                      HourOfYear(month_start_hour(5)));
 

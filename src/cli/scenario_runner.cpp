@@ -15,10 +15,7 @@
 #include "fleetsim/engine.h"
 #include "fleetsim/uncertainty.h"
 #include "fleetsim/workload.h"
-#include "grid/analysis.h"
-#include "grid/import.h"
 #include "grid/presets.h"
-#include "grid/simulator.h"
 #include "mc/distribution.h"
 #include "mc/engine.h"
 #include "sched/policy.h"
@@ -35,7 +32,7 @@ std::pair<std::string, std::string> parse_trace_override(
   return {spec.substr(0, eq), spec.substr(eq + 1)};
 }
 
-std::vector<grid::CarbonIntensityTrace> traces_for(
+std::vector<serve::TraceStore::TracePtr> traces_for(
     const std::vector<grid::RegionSpec>& specs,
     const TraceOverrides& overrides, std::vector<std::string>* notes) {
   // Which spec each override drives. Unknown codes and duplicate codes
@@ -66,16 +63,16 @@ std::vector<grid::CarbonIntensityTrace> traces_for(
   // once per process and --trace-csv files parse once, so `sweep` running
   // several sections (or `run --uncertainty N`) stops redoing identical
   // work. First-touch generation of distinct regions still overlaps on
-  // the pool; warm lookups are a map hit.
-  std::vector<grid::CarbonIntensityTrace> traces(specs.size());
+  // the pool; warm lookups are a map hit, and no trace is copied.
+  std::vector<serve::TraceStore::TracePtr> traces(specs.size());
   std::vector<std::string> import_notes(overrides.size());
   ThreadPool::global().parallel_for(0, specs.size(), [&](std::size_t i) {
     auto& store = serve::TraceStore::global();
     if (override_of[i] < overrides.size()) {
       const auto& [code, path] = overrides[override_of[i]];
-      traces[i] = *store.imported(code, path, &import_notes[override_of[i]]);
+      traces[i] = store.imported(code, path, &import_notes[override_of[i]]);
     } else {
-      traces[i] = *store.preset(specs[i].code);
+      traces[i] = store.preset(specs[i].code);
     }
   });
   if (notes != nullptr) {
@@ -144,7 +141,6 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
   // native cadence (the whole downstream matrix is resolution-agnostic).
   std::vector<std::string> trace_notes;
   const auto traces = traces_for(specs, opts.trace_csv, &trace_notes);
-  const auto summaries = grid::summarize(traces);
 
   fleetsim::FleetWorkloadParams wp;
   wp.horizon_hours = 24.0 * opts.horizon_days;
@@ -155,18 +151,10 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
   // One engine per home region on its site trio, the same trio for every
   // policy cell and every uncertainty sample of a region (run() is const,
   // so cells share it across pool threads).
-  const std::vector<std::string> codes = grid::codes_of(specs);
-  std::vector<const grid::CarbonIntensityTrace*> trace_ptrs;
-  std::vector<double> medians;
-  for (std::size_t r = 0; r < specs.size(); ++r) {
-    trace_ptrs.push_back(&traces[r]);
-    medians.push_back(summaries[r].box.median);
-  }
   std::vector<fleetsim::FleetEngine> engines;
   engines.reserve(specs.size());
   for (std::size_t r = 0; r < specs.size(); ++r) {
-    engines.emplace_back(sched::site_trio(r, codes, trace_ptrs, medians,
-                                          opts.site_capacity),
+    engines.emplace_back(sched::site_trio(r, traces, opts.site_capacity),
                          epoch);
   }
 
@@ -190,8 +178,8 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
         ScenarioRow& row = report.rows[cell];
         row.region = specs[r].code;
         row.policy = policy_name;
-        row.median_ci_g_per_kwh = summaries[r].box.median;
-        row.cov_percent = summaries[r].cov_percent;
+        row.median_ci_g_per_kwh = traces[r]->summary.box.median;
+        row.cov_percent = traces[r]->summary.cov_percent;
         row.carbon_kg = metrics.total_carbon.to_kilograms();
         row.mean_wait_hours = metrics.mean_wait_hours;
         row.p95_wait_hours = metrics.p95_wait_hours;

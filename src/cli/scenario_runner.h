@@ -17,7 +17,7 @@
 
 #include "core/table.h"
 #include "grid/region.h"
-#include "grid/trace.h"
+#include "serve/cache.h"
 
 namespace hpcarbon::cli {
 
@@ -29,11 +29,11 @@ using TraceOverrides = std::vector<std::pair<std::string, std::string>>;
 std::pair<std::string, std::string> parse_trace_override(
     const std::string& spec);
 
-/// Generate the regions' synthetic traces, then swap in any override whose
-/// code matches a spec (imported in that region's local zone, at the file's
-/// native cadence). Appends one human-readable import note per override to
-/// `notes` when given.
-std::vector<grid::CarbonIntensityTrace> traces_for(
+/// The regions' summarized TraceStore entries: each spec's synthetic
+/// preset, or the import of the override whose code matches it (in that
+/// region's local zone, at the file's native cadence). Appends one
+/// human-readable import note per override to `notes` when given.
+std::vector<serve::TraceStore::TracePtr> traces_for(
     const std::vector<grid::RegionSpec>& specs, const TraceOverrides& overrides,
     std::vector<std::string>* notes = nullptr);
 

@@ -14,7 +14,6 @@
 #include "fleetsim/uncertainty.h"
 #include "fleetsim/workload.h"
 #include "grid/presets.h"
-#include "grid/simulator.h"
 #include "hw/node.h"
 #include "sched/policy.h"
 
@@ -89,7 +88,7 @@ void sweep_lifetime(const SweepOptions& opts, SweepReport& report) {
   const HourOfYear start(month_start_hour(5));  // June 1, as in `run`
   for (const auto& node : {hw::v100_node(), hw::a100_node()}) {
     const auto d = lifecycle::node_lifetime_footprint_distribution(
-        node, workload::Suite::kNlp, 0.40, opts.lifetime_years, traces[0],
+        node, workload::Suite::kNlp, 0.40, opts.lifetime_years, *traces[0],
         start, op::PueModel(1.2), opts.bands, plan);
     const std::string label = node.name + " node " +
                               TextTable::num(opts.lifetime_years, 0) + "y " +
@@ -146,15 +145,14 @@ void sweep_fleet(const SweepOptions& opts, SweepReport& report) {
 }
 
 void sweep_sched(const SweepOptions& opts, SweepReport& report) {
-  // The bench_sched_ablation setting: dirtiest Fig. 7 region (ERCOT) is
-  // home, ESO and CISO are the remote options, four June weeks of jobs.
+  // The bench_sched_ablation setting: the dirtiest Fig. 7 region (ERCOT,
+  // last of fig7_regions()) is home, ESO and CISO are the remote options
+  // in median order, four June weeks of jobs.
   const auto traces = traces_for(
       grid::fig7_regions(),
       overrides_matching(opts, grid::codes_of(grid::fig7_regions())));
   const fleetsim::FleetEngine engine(
-      {sched::make_site("ERCOT", traces[2], 16),
-       sched::make_site("ESO", traces[0], 16),
-       sched::make_site("CISO", traces[1], 16)},
+      sched::site_trio(traces.size() - 1, traces, 16),
       HourOfYear(month_start_hour(5)));
   // Pin the savings denominator explicitly rather than trusting static
   // registration order across translation units (scenario_runner does the

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <limits>
+#include <utility>
 
 #include "core/error.h"
 
@@ -22,6 +23,9 @@ std::vector<RegionSummary> summarize(
   for (const auto& t : traces) out.push_back(summarize(t));
   return out;
 }
+
+SummarizedTrace::SummarizedTrace(CarbonIntensityTrace trace)
+    : CarbonIntensityTrace(std::move(trace)), summary(summarize(*this)) {}
 
 namespace {
 

@@ -21,6 +21,14 @@ RegionSummary summarize(const CarbonIntensityTrace& trace);
 std::vector<RegionSummary> summarize(
     const std::vector<CarbonIntensityTrace>& traces);
 
+/// A trace together with its Fig. 6 summary, computed once when the trace
+/// is built: serve::TraceStore holds its entries this way, so consumers
+/// read the median and CoV in place instead of re-scanning the year.
+struct SummarizedTrace : CarbonIntensityTrace {
+  explicit SummarizedTrace(CarbonIntensityTrace trace);
+  RegionSummary summary;
+};
+
 /// Fig. 7: for every hour of the day (in `reference_tz`, JST in the paper),
 /// count on how many of the 365 days each region had the strictly lowest
 /// carbon intensity among the inputs. Ties go to the earlier region in the

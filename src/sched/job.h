@@ -11,12 +11,13 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/units.h"
-#include "grid/trace.h"
+#include "grid/analysis.h"
 
 namespace hpcarbon::sched {
 
@@ -44,14 +45,14 @@ struct Site {
 Site make_site(const std::string& code, const grid::CarbonIntensityTrace& local,
                int capacity, Energy transfer_energy = Energy::kilowatt_hours(0.5));
 
-/// The cross-region placement rule of Sec. 4: region `home` plus the two
-/// other regions with the lowest annual median CI, as sites of `capacity`
-/// nodes. codes[i], traces[i] and medians[i] describe region i. Ties keep
-/// std::sort's order over the region indices.
+/// The cross-region placement rule of Sec. 4: regions[home] plus the two
+/// other regions whose summaries carry the lowest annual median CI, as
+/// sites of `capacity` nodes named by their traces' region codes. Ties
+/// keep std::sort's order over the region indices.
 std::vector<Site> site_trio(
-    std::size_t home, std::span<const std::string> codes,
-    std::span<const grid::CarbonIntensityTrace* const> traces,
-    std::span<const double> medians, int capacity);
+    std::size_t home,
+    std::span<const std::shared_ptr<const grid::SummarizedTrace>> regions,
+    int capacity);
 
 /// Whole-run totals of one engine run under one policy.
 struct ScheduleMetrics {

@@ -195,8 +195,8 @@ TraceStore::TracePtr TraceStore::lookup_or_build(
       return use_locked(it->second, note);
     }
   }
-  // Build outside the lock: a year-long synthetic trace or a CSV parse is
-  // the expensive part, and concurrent first-touch builds of *different*
+  // Build outside the lock: a year-long synthetic trace or a CSV parse,
+  // and the summary over it, are the expensive part, and concurrent first-touch builds of *different*
   // keys should overlap. Two racing builds of the same key produce
   // identical traces (generation and import are deterministic); the
   // first insert wins.
@@ -216,7 +216,7 @@ TraceStore::TracePtr TraceStore::lookup_or_build(
 
 TraceStore::TracePtr TraceStore::preset(const std::string& code) {
   return lookup_or_build("preset:" + code, nullptr, [&code] {
-    return Entry{std::make_shared<const grid::CarbonIntensityTrace>(
+    return Entry{std::make_shared<const grid::SummarizedTrace>(
                      grid::GridSimulator(region_of(code)).run()),
                  {}, false, 0};
   });
@@ -229,7 +229,7 @@ TraceStore::TracePtr TraceStore::imported(const std::string& code,
     grid::ImportOptions io;
     io.tz = region_of(code).tz;  // file rows are the region's local time
     grid::ImportReport report;
-    auto trace = std::make_shared<const grid::CarbonIntensityTrace>(
+    auto trace = std::make_shared<const grid::SummarizedTrace>(
         grid::import_trace_file(path, code, io, &report));
     return Entry{std::move(trace),
                  code + " <- " + path + ": " + report.to_string(), true, 0};

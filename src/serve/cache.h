@@ -8,14 +8,16 @@
 //    serializing on one lock; the byte budget is split evenly across
 //    shards and enforced by LRU eviction per shard.
 //
-//  * TraceStore — a process-wide store of immutable, fully-built
-//    CarbonIntensityTraces behind shared_ptr. Generating a preset region's
-//    synthetic year and parsing a --trace-csv file both cost orders of
-//    magnitude more than any single query; the store does each exactly
-//    once per process and hands out shared, already-prefix-summed traces.
-//    The CLI's traces_for (scenario_runner) and every serve query pull
-//    traces through it, so multi-section sweeps and repeated queries stop
-//    re-parsing identical inputs.
+//  * TraceStore — a process-wide store of immutable, fully-built traces
+//    behind shared_ptr, each carrying its Fig. 6 summary
+//    (grid::SummarizedTrace). Generating a preset region's synthetic year,
+//    parsing a --trace-csv file and summarizing the year all cost orders
+//    of magnitude more than any single query; the store does each exactly
+//    once per process, in the build of the entry, and hands out shared,
+//    already-prefix-summed and already-summarized traces. The CLI's
+//    traces_for (scenario_runner) and every serve query read the store's
+//    entries in place, so multi-section sweeps and repeated queries stop
+//    re-parsing, re-summarizing or copying identical inputs.
 //
 // Neither keeps a tally of its own: each count and occupancy change is
 // recorded at the event into the hpcarbon_cache_* / hpcarbon_trace_store_*
@@ -35,7 +37,7 @@
 #include <vector>
 
 #include "core/thread_annotations.h"
-#include "grid/trace.h"
+#include "grid/analysis.h"
 #include "obs/metrics.h"
 
 namespace hpcarbon::serve {
@@ -141,7 +143,7 @@ class ResultCache {
 
 class TraceStore {
  public:
-  using TracePtr = std::shared_ptr<const grid::CarbonIntensityTrace>;
+  using TracePtr = std::shared_ptr<const grid::SummarizedTrace>;
 
   explicit TraceStore(
       obs::MetricsRegistry& registry = obs::MetricsRegistry::global());
@@ -158,16 +160,16 @@ class TraceStore {
   /// set (reading zero), as ThreadPool::register_metrics does.
   static void register_metrics(obs::MetricsRegistry& registry);
 
-  /// The generated synthetic trace of a Table 3 region code, built once
-  /// (bit-identical to grid::generate_traces — the simulator is
-  /// deterministic per RegionSpec). Throws hpcarbon::Error for unknown
-  /// codes.
+  /// The generated synthetic trace of a Table 3 region code and its
+  /// summary, built once (bit-identical to grid::generate_traces — the
+  /// simulator is deterministic per RegionSpec). Throws hpcarbon::Error
+  /// for unknown codes.
   TracePtr preset(const std::string& code);
 
-  /// The imported trace of (region code, CSV path): read + parsed once,
-  /// rows taken as the region's local time, native cadence. `note`
-  /// receives the human-readable import summary ("ESO <- f.csv: ...")
-  /// recorded when the file was first parsed. Throws on unknown codes and
+  /// The imported trace of (region code, CSV path) and its summary: read,
+  /// parsed and summarized once, rows taken as the region's local time,
+  /// native cadence. `note` receives the human-readable import summary
+  /// ("ESO <- f.csv: ...") recorded when the file was first parsed. Throws on unknown codes and
   /// on any import error.
   TracePtr imported(const std::string& code, const std::string& path,
                     std::string* note = nullptr);

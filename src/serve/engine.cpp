@@ -12,7 +12,6 @@
 #include "serve/limits.h"
 #include "embodied/catalog.h"
 #include "embodied/models.h"
-#include "grid/analysis.h"
 #include "hw/node.h"
 #include "lifecycle/footprint.h"
 #include "lifecycle/scenario.h"
@@ -141,20 +140,14 @@ json::Value evaluate_breakeven(const json::Value& params) {
 }
 
 /// The sched and fleetsim families' sites: sched::site_trio with
-/// regions[0] as home, over the store's preset traces.
+/// regions[0] as home, over the store's preset entries.
 std::vector<sched::Site> query_sites(const json::Value& params,
                                      TraceStore& traces) {
-  std::vector<std::string> codes;
-  std::vector<TraceStore::TracePtr> held;
-  std::vector<const grid::CarbonIntensityTrace*> region_traces;
-  std::vector<double> medians;
+  std::vector<TraceStore::TracePtr> regions;
   for (const auto& item : params.find("regions")->items()) {
-    codes.push_back(item.as_string());
-    held.push_back(traces.preset(codes.back()));
-    region_traces.push_back(held.back().get());
-    medians.push_back(grid::summarize(*held.back()).box.median);
+    regions.push_back(traces.preset(item.as_string()));
   }
-  return sched::site_trio(0, codes, region_traces, medians,
+  return sched::site_trio(0, regions,
                           static_cast<int>(num(params, "capacity")));
 }
 
@@ -229,7 +222,7 @@ json::Value evaluate_sched(const json::Value& params, TraceStore& traces) {
 json::Value evaluate_trace(const json::Value& params, TraceStore& traces) {
   std::string note;
   const TraceStore::TracePtr trace = query_trace(params, traces, &note);
-  const grid::RegionSummary summary = grid::summarize(*trace);
+  const grid::RegionSummary& summary = trace->summary;
 
   json::Value out = json::Value::object();
   out.set("cov_pct", json::Value::number(summary.cov_percent));

@@ -346,6 +346,27 @@ TEST(Dispatch, MissingToolNameFails) {
   }
 }
 
+// `hpcarbon fleetsim` over all seven regions: PJM is home, and the two
+// lowest preset medians (ESO, CISO) are its remote sites. The table holds
+// one row per requested policy.
+TEST(Dispatch, FleetsimRunsHomePlusTwoCleanestSites) {
+  testing::internal::CaptureStdout();
+  const DispatchResult r =
+      run_dispatch({"fleetsim", "PJM", "KN", "TK", "ESO", "CISO", "MISO",
+                    "ERCOT", "--days", "1", "--policies", "greedy"});
+  const std::string out = testing::internal::GetCapturedStdout();
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(out.find("sites: PJM ESO CISO;"), std::string::npos) << out;
+  std::vector<std::string> policies;
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("| ", 0) != 0) continue;
+    const std::string policy = line.substr(2, line.find(' ', 2) - 2);
+    if (policy != "Policy") policies.push_back(policy);
+  }
+  EXPECT_EQ(policies, std::vector<std::string>{"greedy-lowest-ci"}) << out;
+}
+
 TEST(Sweep, DeterministicForFixedSeed) {
   SweepOptions opts;
   opts.samples = 32;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "core/error.h"
 #include "fleetsim/engine.h"
@@ -62,12 +63,12 @@ std::vector<Job> simple_jobs(int n, double power_kw = 1.0,
 TEST(Scheduler, SiteTrioIsHomePlusTwoCleanestOthers) {
   const std::vector<std::string> codes = {"A", "B", "C", "D", "E"};
   const std::vector<double> medians = {50, 300, 100, 100, 20};
-  std::vector<grid::CarbonIntensityTrace> traces;
+  // A constant trace's summarized median is its value.
+  std::vector<std::shared_ptr<const grid::SummarizedTrace>> regions;
   for (std::size_t i = 0; i < codes.size(); ++i) {
-    traces.push_back(constant_trace(codes[i], medians[i]));
+    regions.push_back(std::make_shared<const grid::SummarizedTrace>(
+        constant_trace(codes[i], medians[i])));
   }
-  std::vector<const grid::CarbonIntensityTrace*> ptrs;
-  for (const auto& t : traces) ptrs.push_back(&t);
 
   const auto code_list = [](const std::vector<Site>& sites) {
     std::string out;
@@ -75,19 +76,17 @@ TEST(Scheduler, SiteTrioIsHomePlusTwoCleanestOthers) {
     return out;
   };
   // Home first, then the cleanest others; the home never repeats.
-  EXPECT_EQ(code_list(site_trio(1, codes, ptrs, medians, 8)), "BEA");
-  EXPECT_EQ(code_list(site_trio(4, codes, ptrs, medians, 8)), "EAC");
+  EXPECT_EQ(code_list(site_trio(1, regions, 8)), "BEA");
+  EXPECT_EQ(code_list(site_trio(4, regions, 8)), "EAC");
   // C and D tie at 100; std::sort over this small index vector keeps C
   // first.
-  EXPECT_EQ(code_list(site_trio(0, codes, ptrs, medians, 8)), "AEC");
-  const auto sites = site_trio(3, codes, ptrs, medians, 8);
+  EXPECT_EQ(code_list(site_trio(0, regions, 8)), "AEC");
+  const auto sites = site_trio(3, regions, 8);
   EXPECT_EQ(code_list(sites), "DEA");
   EXPECT_EQ(sites[0].capacity, 8);
   EXPECT_EQ(sites[1].trace_utc.values().front(), 20.0);
   // Fewer than three regions: the trio is as large as the input.
-  EXPECT_EQ(code_list(site_trio(0, std::span(codes).first(2), ptrs, medians,
-                                8)),
-            "AB");
+  EXPECT_EQ(code_list(site_trio(0, std::span(regions).first(2), 8)), "AB");
 }
 
 TEST(Scheduler, FcfsCarbonMatchesHandComputation) {

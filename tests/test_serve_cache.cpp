@@ -8,6 +8,7 @@
 
 #include "core/error.h"
 #include "core/rng.h"
+#include "grid/analysis.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
 #include "obs/metrics.h"
@@ -212,6 +213,46 @@ TEST(TraceStore, PresetMatchesBatchGeneratorBitForBit) {
   EXPECT_EQ(store.hits(), 1u);
   EXPECT_EQ(store.misses(), 1u);
   EXPECT_EQ(store.size(), 1u);
+}
+
+/// Every field of `got` equals the same field of `want`.
+void expect_same_summary(const grid::RegionSummary& got,
+                         const grid::RegionSummary& want) {
+  EXPECT_EQ(got.code, want.code);
+  EXPECT_EQ(got.box.whisker_low, want.box.whisker_low) << want.code;
+  EXPECT_EQ(got.box.min, want.box.min) << want.code;
+  EXPECT_EQ(got.box.q1, want.box.q1) << want.code;
+  EXPECT_EQ(got.box.median, want.box.median) << want.code;
+  EXPECT_EQ(got.box.mean, want.box.mean) << want.code;
+  EXPECT_EQ(got.box.q3, want.box.q3) << want.code;
+  EXPECT_EQ(got.box.max, want.box.max) << want.code;
+  EXPECT_EQ(got.box.whisker_high, want.box.whisker_high) << want.code;
+  EXPECT_EQ(got.cov_percent, want.cov_percent) << want.code;
+}
+
+TEST(TraceStore, EntriesCarryTheSummaryOfTheirTrace) {
+  obs::MetricsRegistry reg;
+  TraceStore store(reg);
+  const obs::Counter& misses =
+      reg.counter("hpcarbon_trace_store_misses_total", "", "");
+  std::vector<TraceStore::TracePtr> entries;
+  for (const std::string& code : grid::codes_of(grid::all_regions())) {
+    entries.push_back(store.preset(code));
+  }
+  entries.push_back(store.imported("CISO", fixture_path()));
+  ASSERT_EQ(entries.size(), 8u);
+  EXPECT_EQ(misses.value(), 8u);
+  for (const auto& e : entries) {
+    expect_same_summary(e->summary, grid::summarize(*e));
+  }
+
+  // A second lookup hands out the stored entry without a rebuild.
+  for (std::size_t i = 0; i + 1 < entries.size(); ++i) {
+    EXPECT_EQ(store.preset(entries[i]->region_code()).get(), entries[i].get());
+  }
+  EXPECT_EQ(store.imported("CISO", fixture_path()).get(),
+            entries.back().get());
+  EXPECT_EQ(misses.value(), 8u);
 }
 
 TEST(TraceStore, ImportedParsesOnceAndCachesTheNote) {
