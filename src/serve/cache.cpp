@@ -196,10 +196,10 @@ TraceStore::TracePtr TraceStore::lookup_or_build(
     }
   }
   // Build outside the lock: a year-long synthetic trace or a CSV parse,
-  // and the summary over it, are the expensive part, and concurrent first-touch builds of *different*
-  // keys should overlap. Two racing builds of the same key produce
-  // identical traces (generation and import are deterministic); the
-  // first insert wins.
+  // and its summary, are the expensive part, and concurrent first-touch
+  // builds of *different* keys should overlap. Two racing builds of the
+  // same key produce identical entries (generation, import and summary
+  // are deterministic); the first insert wins.
   Entry built = build();
   MutexLock lock(mu_);
   const auto [it, inserted] = entries_.try_emplace(key, std::move(built));

@@ -169,8 +169,8 @@ class TraceStore {
   /// The imported trace of (region code, CSV path) and its summary: read,
   /// parsed and summarized once, rows taken as the region's local time,
   /// native cadence. `note` receives the human-readable import summary
-  /// ("ESO <- f.csv: ...") recorded when the file was first parsed. Throws on unknown codes and
-  /// on any import error.
+  /// ("ESO <- f.csv: ...") recorded when the file was first parsed. Throws
+  /// on unknown codes and on any import error.
   TracePtr imported(const std::string& code, const std::string& path,
                     std::string* note = nullptr);
 
