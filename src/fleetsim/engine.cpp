@@ -86,12 +86,10 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   jobs.validate();
   const std::size_t n = jobs.size();
 
-  // Policies take arrivals as sched::Job values (begin_run scans users,
-  // forecasts read traces) and see queued jobs through PendingJob — one
-  // materialization pass; tick times convert to exact doubles, so every
-  // hour a policy reads is exactly the tick time.
-  const std::vector<sched::Job> arrivals = jobs.to_jobs();
-
+  // `jobs` is the run's one job store. Policies see a row as a sched::Job
+  // only once it arrives, built from that row when it is queued and moved
+  // out of the queue at dispatch; tick times convert to exact doubles, so
+  // every hour a policy reads is exactly the tick time.
   sched::CarbonBudgetLedger ledger;
   std::vector<int> free_slots;
   free_slots.reserve(sites_.size());
@@ -135,7 +133,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   view.now_ = &t_hours;
   view.epoch_ = epoch_;
 
-  policy.begin_run(arrivals, ledger, view);
+  policy.begin_run(jobs.users, ledger, view);
 
   // Accounting order is part of the output: FP sums are order-sensitive,
   // so reordering these operations moves the golden metrics in
@@ -183,7 +181,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
                       decision->site < sites_.size() &&
                       free_slots[decision->site] > 0,
                   "policy returned an invalid dispatch decision");
-      const sched::Job j = waiting[decision->queue_index].job;
+      const sched::Job j = std::move(waiting[decision->queue_index].job);
       const Tick duration_tick = waiting_meta[decision->queue_index].duration;
       waiting.erase(waiting.begin() +
                     static_cast<std::ptrdiff_t>(decision->queue_index));
@@ -221,9 +219,14 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
       completions.pop();
     }
     while (next_arrival < n && jobs.submit[next_arrival] <= t) {
-      const sched::Job& j = arrivals[next_arrival];
+      sched::Job j;
+      j.id = jobs.id[next_arrival];
+      j.user = jobs.users[jobs.user[next_arrival]];
+      j.submit_hour = hours_of(jobs.submit[next_arrival]);
+      j.duration_hours = hours_of(jobs.duration[next_arrival]);
+      j.it_power = jobs.power[next_arrival];
       const double planned = policy.planned_start(j, view);
-      waiting.push_back(sched::PendingJob{j, planned});
+      waiting.push_back(sched::PendingJob{std::move(j), planned});
       waiting_meta.push_back(
           WaitMeta{ceil_tick(planned), jobs.duration[next_arrival]});
       ++next_arrival;

@@ -71,21 +71,6 @@ FleetJobs FleetJobs::from_jobs(const std::vector<sched::Job>& jobs) {
   return out;
 }
 
-std::vector<sched::Job> FleetJobs::to_jobs() const {
-  std::vector<sched::Job> out;
-  out.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    sched::Job j;
-    j.id = id[i];
-    j.user = users[user[i]];
-    j.submit_hour = hours_of(submit[i]);
-    j.duration_hours = hours_of(duration[i]);
-    j.it_power = power[i];
-    out.push_back(std::move(j));
-  }
-  return out;
-}
-
 namespace {
 
 double parse_num(const std::string& cell, const char* column,

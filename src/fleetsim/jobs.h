@@ -55,9 +55,12 @@ inline bool tick_aligned(double hours) {
   return hours_of(nearest_tick(hours)) == hours;
 }
 
-/// Parallel-vector job storage. Jobs are kept sorted by submit tick
+/// Parallel-vector job storage, and the only copy of a workload that
+/// fleetsim::FleetEngine keeps. Jobs are kept sorted by submit tick
 /// (validate() enforces it); `user` indexes into the `users` name table so
 /// a million jobs over eight users store eight strings, not a million.
+/// `users` is also the run's user table: the engine hands it to
+/// SchedulingPolicy::begin_run, and it may list users who have no job.
 struct FleetJobs {
   std::vector<std::int32_t> id;        // stable external id (outcome joins)
   std::vector<Tick> submit;            // sorted ascending
@@ -84,13 +87,10 @@ struct FleetJobs {
   /// Quantize a double-based workload (hand-built jobs, parsed CSV rows)
   /// onto the tick grid (nearest tick; durations clamp up to one tick so
   /// no job becomes instantaneous) and stable-sort by submit. Ids are
-  /// preserved.
+  /// preserved. This is the way in from sched::Job values (the jobs CSV,
+  /// tests); there is no way back: the engine builds each row's sched::Job
+  /// when that row arrives.
   static FleetJobs from_jobs(const std::vector<sched::Job>& jobs);
-
-  /// Materialize sched::Job values (exact: tick times convert to the same
-  /// doubles the engine computes with). Used to brief policies'
-  /// begin_run().
-  std::vector<sched::Job> to_jobs() const;
 };
 
 /// Parse a job-trace CSV into FleetJobs. Expected columns, with a header

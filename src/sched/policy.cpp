@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <set>
 #include <utility>
 
 #include "core/error.h"
@@ -113,10 +112,8 @@ class BudgetAwarePolicy : public SchedulingPolicy {
   explicit BudgetAwarePolicy(const PolicyConfig& cfg)
       : user_budget_(cfg.user_budget) {}
   std::string name() const override { return "budget-aware"; }
-  void begin_run(const std::vector<Job>& arrivals, CarbonBudgetLedger& ledger,
-                 const ClusterView&) override {
-    std::set<std::string> users;
-    for (const auto& j : arrivals) users.insert(j.user);
+  void begin_run(const std::vector<std::string>& users,
+                 CarbonBudgetLedger& ledger, const ClusterView&) override {
     for (const auto& u : users) ledger.set_allocation(u, user_budget_);
   }
   std::optional<DispatchDecision> select(const std::vector<PendingJob>& queue,
@@ -149,7 +146,7 @@ class ForecastDelayPolicy : public SchedulingPolicy {
       : max_delay_(cfg.max_delay_hours),
         window_days_(cfg.forecast_window_days) {}
   std::string name() const override { return "forecast-delay"; }
-  void begin_run(const std::vector<Job>&, CarbonBudgetLedger&,
+  void begin_run(const std::vector<std::string>&, CarbonBudgetLedger&,
                  const ClusterView& view) override {
     forecast_ = std::make_unique<grid::DiurnalTemplateForecast>(
         view.site(0).trace_utc, window_days_);
@@ -229,7 +226,7 @@ class ForecastNetBenefitPolicy : public SchedulingPolicy {
   explicit ForecastNetBenefitPolicy(const PolicyConfig& cfg)
       : window_days_(cfg.forecast_window_days) {}
   std::string name() const override { return "forecast-net-benefit"; }
-  void begin_run(const std::vector<Job>&, CarbonBudgetLedger&,
+  void begin_run(const std::vector<std::string>&, CarbonBudgetLedger&,
                  const ClusterView& view) override {
     forecasts_.clear();
     for (std::size_t s = 0; s < view.site_count(); ++s) {
@@ -291,7 +288,7 @@ class RenewableCapPolicy : public SchedulingPolicy {
     HPC_REQUIRE(window_hours_ > 0, "burn window must be positive");
   }
   std::string name() const override { return "renewable-cap"; }
-  void begin_run(const std::vector<Job>&, CarbonBudgetLedger&,
+  void begin_run(const std::vector<std::string>&, CarbonBudgetLedger&,
                  const ClusterView&) override {
     recent_.clear();
   }

@@ -122,12 +122,15 @@ class SchedulingPolicy {
   /// Canonical registry name ("greedy-lowest-ci").
   virtual std::string name() const = 0;
 
-  /// Called once before the event loop with the sorted arrivals. The
-  /// ledger is the engine's mutable budget ledger (BudgetAware seeds
-  /// allocations here); `view` is already bound, with now() == 0.
-  virtual void begin_run(const std::vector<Job>& arrivals,
+  /// Called once before the event loop with the run's user table
+  /// (fleetsim::FleetJobs::users, which may name users who submit no job).
+  /// Jobs themselves reach the policy one at a time, through
+  /// planned_start() as each arrives. The ledger is the engine's mutable
+  /// budget ledger (BudgetAware allocates every listed user here); `view`
+  /// is already bound, with now() == 0.
+  virtual void begin_run(const std::vector<std::string>& users,
                          CarbonBudgetLedger& ledger, const ClusterView& view) {
-    (void)arrivals;
+    (void)users;
     (void)ledger;
     (void)view;
   }

@@ -177,6 +177,93 @@ TEST(PolicyEngine, RejectsInvalidDispatchDecision) {
   EXPECT_THROW(engine.run(jobs, broken), Error);
 }
 
+TEST(PolicyEngine, PoliciesSeeTheUserTableAndEachRowOnceAsItArrives) {
+  // Records what the engine hands a policy: the user table at begin_run,
+  // each job at planned_start and each started job, dispatching FCFS to
+  // the cleanest free site.
+  class RecordingPolicy : public SchedulingPolicy {
+   public:
+    std::string name() const override { return "recording"; }
+    void begin_run(const std::vector<std::string>& users, CarbonBudgetLedger&,
+                   const ClusterView&) override {
+      ++begin_calls;
+      seen_users = users;
+    }
+    double planned_start(const Job& job, const ClusterView&) override {
+      arrived.push_back(job);
+      return job.submit_hour;
+    }
+    std::optional<DispatchDecision> select(const std::vector<PendingJob>&,
+                                           const ClusterView& view) override {
+      const long site = view.lowest_ci_free_site();
+      if (site < 0) return std::nullopt;
+      return DispatchDecision{0, static_cast<std::size_t>(site)};
+    }
+    void on_job_started(const Job& job, std::size_t, double,
+                        const ClusterView&) override {
+      started.push_back(job);
+    }
+    int begin_calls = 0;
+    std::vector<std::string> seen_users;
+    std::vector<Job> arrived;
+    std::vector<Job> started;
+  };
+
+  const FleetJobs jobs = seeded_jobs();
+  ASSERT_GT(jobs.size(), 100u);
+  FleetEngine engine(fig7_sites(4), HourOfYear(month_start_hour(5)));
+  RecordingPolicy policy;
+  engine.run(jobs, policy);
+
+  EXPECT_EQ(policy.begin_calls, 1);
+  EXPECT_EQ(policy.seen_users, jobs.users);
+  // Rows are sorted by submit tick, so submit order is row order.
+  ASSERT_EQ(policy.arrived.size(), jobs.size());
+  ASSERT_EQ(policy.started.size(), jobs.size());
+  std::map<int, const Job*> started_by_id;
+  for (const Job& j : policy.started) started_by_id[j.id] = &j;
+  ASSERT_EQ(started_by_id.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Job& j = policy.arrived[i];
+    EXPECT_EQ(j.id, jobs.id[i]) << i;
+    EXPECT_EQ(j.user, jobs.users[jobs.user[i]]) << i;
+    EXPECT_EQ(j.submit_hour, fleetsim::hours_of(jobs.submit[i])) << i;
+    EXPECT_EQ(j.duration_hours, fleetsim::hours_of(jobs.duration[i])) << i;
+    EXPECT_EQ(j.it_power, jobs.power[i]) << i;
+    // The started job is the arrived one, moved out of the queue intact.
+    const Job& s = *started_by_id.at(j.id);
+    EXPECT_EQ(s.user, j.user) << i;
+    EXPECT_EQ(s.submit_hour, j.submit_hour) << i;
+    EXPECT_EQ(s.duration_hours, j.duration_hours) << i;
+    EXPECT_EQ(s.it_power, j.it_power) << i;
+  }
+}
+
+TEST(BudgetAware, AllocatesEveryUserInTheTableIncludingUsersWithoutJobs) {
+  // The ledger is seeded from FleetJobs::users, not from the arrivals: a
+  // listed user who submits nothing still holds a full allocation.
+  std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 2)};
+  FleetEngine engine(sites, HourOfYear(0), op::PueModel(1.0));
+  FleetJobs jobs;
+  jobs.push(0, 0, fleetsim::kTicksPerHour, Power::kilowatts(1), "busy");
+  jobs.push(1, fleetsim::kTicksPerHour, fleetsim::kTicksPerHour,
+            Power::kilowatts(2), "busy");
+  jobs.intern_user("idle");
+  ASSERT_EQ(jobs.users, (std::vector<std::string>{"busy", "idle"}));
+
+  PolicyConfig cfg;
+  cfg.user_budget = Mass::kilograms(3);
+  const auto policy = make_policy("budget-aware", cfg);
+  CarbonBudgetLedger ledger;
+  const auto m = engine.run(jobs, *policy, nullptr, &ledger);
+  EXPECT_EQ(m.jobs_completed, 2);
+  EXPECT_EQ(ledger.allocation("idle"), cfg.user_budget);
+  EXPECT_EQ(ledger.spent("idle").to_grams(), 0.0);
+  EXPECT_EQ(ledger.remaining_fraction("idle"), 1.0);
+  EXPECT_EQ(ledger.allocation("busy"), cfg.user_budget);
+  EXPECT_EQ(ledger.spent("busy"), m.total_carbon);
+}
+
 /// `n` jobs from one user, all at `power_kw` for `duration` hours; job i
 /// is submitted at submit(i).
 template <class SubmitFn>
