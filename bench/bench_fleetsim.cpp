@@ -18,10 +18,9 @@
 #include "core/table.h"
 #include "fleetsim/engine.h"
 #include "fleetsim/workload.h"
-#include "grid/presets.h"
-#include "grid/simulator.h"
 #include "reporter.h"
 #include "sched/policy.h"
+#include "serve/cache.h"
 
 #include "cli/registry.h"
 
@@ -75,11 +74,11 @@ static int tool_main(int argc, char** argv) {
   const double rate = args.smoke ? 80.0 : 320.0;
   const double horizon_hours = args.smoke ? 1250.0 : 3125.0;  // rate*h ~ jobs
 
-  const auto traces = grid::generate_traces(grid::fig7_regions());
+  auto& store = serve::TraceStore::global();
   const std::vector<sched::Site> sites = {
-      sched::make_site("ERCOT", traces[2], home_cap),
-      sched::make_site("ESO", traces[0], remote_cap),
-      sched::make_site("CISO", traces[1], remote_cap)};
+      sched::make_site("ERCOT", *store.preset("ERCOT"), home_cap),
+      sched::make_site("ESO", *store.preset("ESO"), remote_cap),
+      sched::make_site("CISO", *store.preset("CISO"), remote_cap)};
   const HourOfYear epoch(3624);  // June 1
   const fleetsim::FleetEngine fleet(sites, epoch);
 

@@ -28,6 +28,7 @@
 #include "lifecycle/upgrade.h"
 #include "reporter.h"
 #include "sched/policy.h"
+#include "serve/cache.h"
 
 #include "cli/registry.h"
 
@@ -141,10 +142,11 @@ static int tool_main(int argc, char** argv) {
   }
 
   {
-    const auto traces = grid::generate_traces(grid::fig7_regions());
-    std::vector<sched::Site> sites = {sched::make_site("ESO", traces[0], 12),
-                                      sched::make_site("CISO", traces[1], 12),
-                                      sched::make_site("ERCOT", traces[2], 12)};
+    auto& store = serve::TraceStore::global();
+    std::vector<sched::Site> sites = {
+        sched::make_site("ESO", *store.preset("ESO"), 12),
+        sched::make_site("CISO", *store.preset("CISO"), 12),
+        sched::make_site("ERCOT", *store.preset("ERCOT"), 12)};
     const fleetsim::FleetEngine engine(sites, HourOfYear(0));
     fleetsim::FleetWorkloadParams wp;
     wp.horizon_hours = 24.0 * 28;

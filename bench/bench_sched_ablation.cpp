@@ -15,10 +15,9 @@
 #include "core/rng.h"
 #include "fleetsim/engine.h"
 #include "fleetsim/workload.h"
-#include "grid/presets.h"
-#include "grid/simulator.h"
 #include "reporter.h"
 #include "sched/policy.h"
+#include "serve/cache.h"
 
 #include "cli/registry.h"
 
@@ -106,13 +105,11 @@ static int tool_main(int argc, char** argv) {
   // is strongest outside the UK winter-demand peak. Smoke mode shortens
   // the horizon to one week; savings percentages shift slightly, which is
   // why fingerprint.mode is part of every trajectory row.
-  const auto traces = grid::generate_traces(grid::fig7_regions());
-  std::vector<sched::Site> sites = {
-      sched::make_site("ERCOT", traces[2], 16),
-      sched::make_site("ESO", traces[0], 16),
-      sched::make_site("CISO", traces[1], 16),
-  };
-  const fleetsim::FleetEngine engine(sites, HourOfYear(month_start_hour(5)));
+  auto& store = serve::TraceStore::global();
+  const std::vector<serve::TraceStore::TracePtr> regions = {
+      store.preset("ERCOT"), store.preset("ESO"), store.preset("CISO")};
+  const fleetsim::FleetEngine engine(sched::site_trio(0, regions, 16),
+                                     HourOfYear(month_start_hour(5)));
 
   fleetsim::FleetWorkloadParams wp;
   wp.horizon_hours = 24.0 * (args.smoke ? 7 : 28);
@@ -175,7 +172,7 @@ static int tool_main(int argc, char** argv) {
   }
   bench::print_table(s);
 
-  bench_interval_carbon(traces[2], report, args.smoke);
+  bench_interval_carbon(*regions[0], report, args.smoke);
 
   std::cout << "\nCross-region greedy dispatch exploits the Fig. 7 "
                "complementarity; threshold-delay trades queue wait for "

@@ -9,23 +9,21 @@
 #include "core/table.h"
 #include "fleetsim/engine.h"
 #include "fleetsim/workload.h"
-#include "grid/presets.h"
-#include "grid/simulator.h"
 #include "sched/policy.h"
+#include "serve/cache.h"
 
 #include "cli/registry.h"
 
 using namespace hpcarbon;
 
 static int tool_main(int, char**) {
-  // Home site: ERCOT (dirtiest of the trio); four summer weeks.
-  const auto traces = grid::generate_traces(grid::fig7_regions());
-  std::vector<sched::Site> sites = {
-      sched::make_site("ERCOT", traces[2], 12),
-      sched::make_site("ESO", traces[0], 12),
-      sched::make_site("CISO", traces[1], 12),
-  };
-  const fleetsim::FleetEngine engine(sites, HourOfYear(month_start_hour(5)));
+  // Home site: ERCOT (dirtiest of the trio), ESO and CISO the remotes in
+  // median order; four summer weeks.
+  auto& store = serve::TraceStore::global();
+  const std::vector<serve::TraceStore::TracePtr> regions = {
+      store.preset("ERCOT"), store.preset("ESO"), store.preset("CISO")};
+  const fleetsim::FleetEngine engine(sched::site_trio(0, regions, 12),
+                                     HourOfYear(month_start_hour(5)));
 
   fleetsim::FleetWorkloadParams wp;
   wp.horizon_hours = 24.0 * 28;
