@@ -1,6 +1,7 @@
 #include "cli/dispatch.h"
 
 #include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -117,14 +118,29 @@ std::size_t default_worker_threads() {
 }
 
 double parse_number(const char* flag, const std::string& value) {
+  double v = 0;
   try {
     std::size_t consumed = 0;
-    const double v = std::stod(value, &consumed);
+    v = std::stod(value, &consumed);
     if (consumed != value.size()) throw std::invalid_argument(value);
-    return v;
   } catch (const std::exception&) {
     throw Error(std::string(flag) + " expects a number, got '" + value + "'");
   }
+  if (!std::isfinite(v)) {
+    throw Error(std::string(flag) + " expects a finite number, got '" +
+                value + "'");
+  }
+  return v;
+}
+
+std::uint64_t parse_non_negative_integer(const char* flag,
+                                         const std::string& value) {
+  const double n = parse_number(flag, value);
+  // 0x1p64 bounds the cast below, which is undefined past uint64_t's range.
+  if (n < 0 || n >= 0x1p64 || n != std::floor(n)) {
+    throw Error(std::string(flag) + " expects a non-negative integer");
+  }
+  return static_cast<std::uint64_t>(n);
 }
 
 std::vector<std::string> split_list(const std::string& list) {
@@ -235,11 +251,7 @@ int cmd_run(int argc, char** argv, std::ostream& err) {
     } else if (arg == "--csv") {
       csv_path = next_value("--csv");
     } else if (arg == "--threads") {
-      const double n = parse_number("--threads", next_value("--threads"));
-      if (n < 0 || n != static_cast<std::size_t>(n)) {
-        throw Error("--threads expects a non-negative integer");
-      }
-      threads = static_cast<std::size_t>(n);
+      threads = parse_non_negative_integer("--threads", next_value("--threads"));
     } else if (!arg.empty() && arg[0] == '-') {
       throw Error("unknown flag '" + arg + "' (see `hpcarbon help`)");
     } else if (std::find(opts.regions.begin(), opts.regions.end(), arg) ==

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -27,10 +28,16 @@ int usage(std::ostream& out, int exit_code);
 /// machines. Shared by run, sweep, batch, and serve.
 std::size_t default_worker_threads();
 
-/// `value` as a number, all of it. Throws hpcarbon::Error "<flag> expects
-/// a number, got '<value>'" otherwise. Shared by run, fleetsim, sweep and
-/// trace.
+/// `value` as a finite number, all of it. Throws hpcarbon::Error "<flag>
+/// expects a number, got '<value>'" otherwise, or "<flag> expects a finite
+/// number" for inf and nan. Shared by run, fleetsim, sweep, trace and
+/// serve.
 double parse_number(const char* flag, const std::string& value);
+
+/// parse_number, then a whole number in [0, 2^64). Throws hpcarbon::Error
+/// "<flag> expects a non-negative integer" otherwise. Seeds and --threads.
+std::uint64_t parse_non_negative_integer(const char* flag,
+                                         const std::string& value);
 
 /// The comma-separated items of `list` ("a,,b" -> {"a", "b"}).
 std::vector<std::string> split_list(const std::string& list);

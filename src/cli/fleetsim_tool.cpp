@@ -72,22 +72,16 @@ FleetsimOptions parse_args(int argc, char** argv) {
     } else if (arg == "--capacity") {
       opts.capacity = parse_positive_int("--capacity", next_value("--capacity"));
     } else if (arg == "--seed") {
-      const double s = parse_number("--seed", next_value("--seed"));
-      if (s < 0 || s != static_cast<std::uint64_t>(s)) {
-        throw Error("--seed expects a non-negative integer");
-      }
-      opts.workload.seed = static_cast<std::uint64_t>(s);
+      opts.workload.seed =
+          parse_non_negative_integer("--seed", next_value("--seed"));
     } else if (arg == "--uncertainty") {
       opts.uncertainty_samples =
           parse_positive_int("--uncertainty", next_value("--uncertainty"));
     } else if (arg == "--jobs-csv") {
       opts.jobs_csv = next_value("--jobs-csv");
     } else if (arg == "--threads") {
-      const double n = parse_number("--threads", next_value("--threads"));
-      if (n < 0 || n != static_cast<std::size_t>(n)) {
-        throw Error("--threads expects a non-negative integer");
-      }
-      opts.threads = static_cast<std::size_t>(n);
+      opts.threads =
+          parse_non_negative_integer("--threads", next_value("--threads"));
     } else if (!arg.empty() && arg[0] == '-') {
       throw Error("unknown flag '" + arg + "' (see `hpcarbon help`)");
     } else if (std::find(opts.regions.begin(), opts.regions.end(), arg) ==

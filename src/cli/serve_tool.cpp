@@ -118,20 +118,9 @@ bool parse_net_flag(const std::string& arg, int argc, char** argv, int& i,
         "--max-inflight", next_value("--max-inflight", argc, argv, i), 1);
     return true;
   }
-  if (arg == "--idle-timeout") {
-    const std::string v = next_value("--idle-timeout", argc, argv, i);
-    std::size_t consumed = 0;
-    double s = 0;
-    try {
-      s = std::stod(v, &consumed);
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-    if (consumed != v.size()) {
-      throw Error("--idle-timeout expects seconds (0 disables), got '" + v +
-                  "'");
-    }
-    opts.idle_timeout_s = s;
+  if (arg == "--idle-timeout") {  // seconds; 0 disables
+    opts.idle_timeout_s = parse_number(
+        "--idle-timeout", next_value("--idle-timeout", argc, argv, i));
     return true;
   }
   if (arg == "--metrics-unix") {
@@ -140,14 +129,8 @@ bool parse_net_flag(const std::string& arg, int argc, char** argv, int& i,
   }
   if (arg == "--stats-interval") {
     const std::string v = next_value("--stats-interval", argc, argv, i);
-    std::size_t consumed = 0;
-    double s = 0;
-    try {
-      s = std::stod(v, &consumed);
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-    if (consumed != v.size() || s < 0) {
+    const double s = parse_number("--stats-interval", v);
+    if (s < 0) {
       throw Error("--stats-interval expects seconds (0 disables), got '" + v +
                   "'");
     }

@@ -296,7 +296,7 @@ int cmd_sweep(int argc, char** argv) {
     } else if (arg == "--sched-samples") {
       sched_samples_flag = next_count("--sched-samples");
     } else if (arg == "--seed") {
-      opts.seed = static_cast<std::uint64_t>(next_number("--seed"));
+      opts.seed = parse_non_negative_integer("--seed", next_value("--seed"));
     } else if (arg == "--section") {
       for (const auto& name : split_list(next_value("--section"))) {
         // Repeats would duplicate both the computation and the rows.
@@ -327,7 +327,8 @@ int cmd_sweep(int argc, char** argv) {
     } else if (arg == "--csv") {
       csv_path = next_value("--csv");
     } else if (arg == "--threads") {
-      threads = static_cast<std::size_t>(next_number("--threads"));
+      threads =
+          parse_non_negative_integer("--threads", next_value("--threads"));
     } else {
       throw Error("unknown sweep argument '" + arg +
                   "' (see `hpcarbon help`)");

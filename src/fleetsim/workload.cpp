@@ -82,8 +82,11 @@ std::vector<Tick> arrival_ticks(const FleetWorkloadParams& p, Rng& rng) {
 }  // namespace
 
 FleetJobs generate_fleet_jobs(const FleetWorkloadParams& p) {
-  HPC_REQUIRE(p.horizon_hours > 0, "fleet workload: horizon must be positive");
-  HPC_REQUIRE(p.rate_per_hour > 0, "fleet workload: rate must be positive");
+  // Finite too: an infinite horizon or rate never ends the arrival loop.
+  HPC_REQUIRE(std::isfinite(p.horizon_hours) && p.horizon_hours > 0,
+              "fleet workload: horizon must be positive and finite");
+  HPC_REQUIRE(std::isfinite(p.rate_per_hour) && p.rate_per_hour > 0,
+              "fleet workload: rate must be positive and finite");
   HPC_REQUIRE(p.user_count > 0, "fleet workload: need at least one user");
   HPC_REQUIRE(p.diurnal_amplitude >= 0 && p.diurnal_amplitude < 1,
               "fleet workload: diurnal amplitude must be in [0, 1)");

@@ -367,6 +367,28 @@ TEST(Dispatch, FleetsimRunsHomePlusTwoCleanestSites) {
   EXPECT_EQ(policies, std::vector<std::string>{"greedy-lowest-ci"}) << out;
 }
 
+// inf and nan are rejected while the arguments are parsed: past the
+// parser, an infinite --rate or --days never ends job generation and a nan
+// idle timeout reaches a duration cast.
+TEST(Dispatch, NonFiniteNumbersAreRejectedDuringArgumentParsing) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"fleetsim", "--rate", "inf"},
+      {"run", "--days", "inf"},
+      {"serve", "--idle-timeout", "nan"},
+  };
+  for (const auto& args : cases) {
+    try {
+      run_dispatch(args);
+      ADD_FAILURE() << args[0] << " " << args[1] << " did not throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(args[1] +
+                                           " expects a finite number"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Sweep, DeterministicForFixedSeed) {
   SweepOptions opts;
   opts.samples = 32;

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -166,6 +167,13 @@ TEST(FleetWorkload, ValidationRejectsBadParams) {
   };
   rejects([](FleetWorkloadParams& p) { p.horizon_hours = 0; });
   rejects([](FleetWorkloadParams& p) { p.rate_per_hour = 0; });
+  // Non-finite horizons and rates: each would loop forever appending jobs.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  rejects([](FleetWorkloadParams& p) { p.horizon_hours = kInf; });
+  rejects([](FleetWorkloadParams& p) { p.horizon_hours = kNan; });
+  rejects([](FleetWorkloadParams& p) { p.rate_per_hour = kInf; });
+  rejects([](FleetWorkloadParams& p) { p.rate_per_hour = kNan; });
   rejects([](FleetWorkloadParams& p) { p.user_count = 0; });
   rejects([](FleetWorkloadParams& p) { p.diurnal_amplitude = 1.0; });
   rejects([](FleetWorkloadParams& p) { p.burst_mean_size = 0.5; });
