@@ -87,9 +87,9 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   const std::size_t n = jobs.size();
 
   // `jobs` is the run's one job store. Policies see a row as a sched::Job
-  // only once it arrives, built from that row when it is queued and moved
-  // out of the queue at dispatch; tick times convert to exact doubles, so
-  // every hour a policy reads is exactly the tick time.
+  // only once it arrives, built in place in the queue and moved out of it
+  // at dispatch; tick times convert to exact doubles, so every hour a
+  // policy reads is exactly the tick time.
   sched::CarbonBudgetLedger ledger;
   std::vector<int> free_slots;
   free_slots.reserve(sites_.size());
@@ -219,16 +219,15 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
       completions.pop();
     }
     while (next_arrival < n && jobs.submit[next_arrival] <= t) {
-      sched::Job j;
-      j.id = jobs.id[next_arrival];
-      j.user = jobs.users[jobs.user[next_arrival]];
-      j.submit_hour = hours_of(jobs.submit[next_arrival]);
-      j.duration_hours = hours_of(jobs.duration[next_arrival]);
-      j.it_power = jobs.power[next_arrival];
-      const double planned = policy.planned_start(j, view);
-      waiting.push_back(sched::PendingJob{std::move(j), planned});
+      sched::PendingJob& p = waiting.emplace_back();
+      p.job.id = jobs.id[next_arrival];
+      p.job.user = jobs.users[jobs.user[next_arrival]];
+      p.job.submit_hour = hours_of(jobs.submit[next_arrival]);
+      p.job.duration_hours = hours_of(jobs.duration[next_arrival]);
+      p.job.it_power = jobs.power[next_arrival];
+      p.earliest_start = policy.planned_start(p.job, view);
       waiting_meta.push_back(
-          WaitMeta{ceil_tick(planned), jobs.duration[next_arrival]});
+          WaitMeta{ceil_tick(p.earliest_start), jobs.duration[next_arrival]});
       ++next_arrival;
     }
     dispatch();

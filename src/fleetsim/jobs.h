@@ -87,9 +87,8 @@ struct FleetJobs {
   /// Quantize a double-based workload (hand-built jobs, parsed CSV rows)
   /// onto the tick grid (nearest tick; durations clamp up to one tick so
   /// no job becomes instantaneous) and stable-sort by submit. Ids are
-  /// preserved. This is the way in from sched::Job values (the jobs CSV,
-  /// tests); there is no way back: the engine builds each row's sched::Job
-  /// when that row arrives.
+  /// preserved. The way in from sched::Job values (the jobs CSV, tests);
+  /// the engine builds each row's sched::Job itself when the row arrives.
   static FleetJobs from_jobs(const std::vector<sched::Job>& jobs);
 };
 

@@ -367,9 +367,9 @@ TEST(Dispatch, FleetsimRunsHomePlusTwoCleanestSites) {
   EXPECT_EQ(policies, std::vector<std::string>{"greedy-lowest-ci"}) << out;
 }
 
-// inf and nan are rejected while the arguments are parsed: past the
-// parser, an infinite --rate or --days never ends job generation and a nan
-// idle timeout reaches a duration cast.
+// inf and nan are rejected while the arguments are parsed, before an
+// infinite --rate or --days reaches job generation or a nan idle timeout
+// reaches the server's millisecond cast.
 TEST(Dispatch, NonFiniteNumbersAreRejectedDuringArgumentParsing) {
   const std::vector<std::vector<std::string>> cases = {
       {"fleetsim", "--rate", "inf"},

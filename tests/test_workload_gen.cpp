@@ -167,7 +167,8 @@ TEST(FleetWorkload, ValidationRejectsBadParams) {
   };
   rejects([](FleetWorkloadParams& p) { p.horizon_hours = 0; });
   rejects([](FleetWorkloadParams& p) { p.rate_per_hour = 0; });
-  // Non-finite horizons and rates: each would loop forever appending jobs.
+  // Non-finite horizons and rates: unchecked, each never ends the arrival
+  // loop.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   rejects([](FleetWorkloadParams& p) { p.horizon_hours = kInf; });
