@@ -23,6 +23,7 @@
 
 #include "core/error.h"
 #include "core/json.h"
+#include "net/loadgen.h"
 #include "serve/engine.h"
 #include "serve/request.h"
 
@@ -149,6 +150,56 @@ TEST(JsonGolden, CanonicalKeysDoNotRotate) {
     }
   }
   expect_matches_golden(produced, "canonical_golden.tsv");
+}
+
+TEST(JsonGolden, UniverseCanonicalKeysDoNotRotate) {
+  // The same pin over the socket benchmark's 43-query universe plus
+  // alternate spellings of it: reordered fields, explicit defaults, short
+  // and canonical policy names, longer region lists and escaped strings.
+  std::vector<std::string> lines = net::query_universe();
+  const char* const alternates[] = {
+      R"({"params":{"region":"ESO","node":"a100"},"op":"lifetime","id":"r"})",
+      R"({"op":"lifetime","params":{"node":"v100","suite":"nlp","years":5,)"
+      R"("gpu_usage":0.4,"region":"CISO","start_month":5,"pue":1.2,)"
+      R"("samples":0,"seed":42,"grid_band":0.1}})",
+      R"({"op":"lifetime","params":{"node":"p100","trace_csv":"grid\/a \"b\"\\c\u00e9\t.csv"}})",
+      R"({"op":"breakeven","params":{"pue":1.2,"old_node":"v100","new_node":"a100",)"
+      R"("suite":"nlp","intensity_g_per_kwh":200,"annual_decline":0.03,)"
+      R"("horizon_years":15,"gpu_usage":0.4}})",
+      R"({"op":"breakeven","params":{"suite":"candle","old_node":"p100","annual_decline":1e-2}})",
+      R"({"op":"embodied","params":{"part":"epyc-7542"},"id":"x"})",
+      R"({"op":"trace","params":{"window_hours":168,"window_start_hour":3624,"region":"KN"}})",
+      R"({"op":"trace","params":{"region":"TK","trace_csv":"a\\b\"c\u0001.csv"}})",
+      R"({"op":"sched","params":{"policy":"greedy-lowest-ci"}})",
+      R"({"op":"sched","params":{"policy":"net-benefit","regions":["ERCOT","ESO","CISO"],)"
+      R"("days":28,"rate":2.5,"capacity":16,"start_month":5,"seed":2024}})",
+      R"({"op":"sched","params":{"policy":"forecast-net-benefit"}})",
+      R"({"op":"sched","params":{"policy":"fcfs"}})",
+      R"({"op":"sched","params":{"policy":"cap","regions":["PJM","ESO","CISO","KN"]}})",
+      R"({"op":"sched","params":{"regions":["MISO","TK","PJM","KN","ERCOT","CISO","ESO"],)"
+      R"("policy":"budget","days":3.5,"seed":7}})",
+      R"({"op":"fleetsim","params":{"policy":"threshold","process":"bursty","regions":["TK"]}})",
+      R"({"op":"fleetsim","params":{"policy":"forecast","samples":4,"rate":12.5}})",
+      R"({"op":"sched","params":{"policy":"greedy","regions":["ESO","ESO"]}})",
+      R"({"op":"sched","params":{"policy":"warp-drive"}})",
+      R"({"op":"trace","params":{"region":"ATLANTIS"}})",
+      R"({"op":"lifetime","params":{"node":"v100","bogus":true}})",
+  };
+  lines.insert(lines.end(), std::begin(alternates), std::end(alternates));
+  std::vector<std::string> produced;
+  for (const auto& line : lines) {
+    try {
+      const serve::Query q = serve::parse_query_line(line);
+      char key_hex[32];
+      std::snprintf(key_hex, sizeof(key_hex), "%016llx",
+                    static_cast<unsigned long long>(q.key));
+      produced.push_back(std::string(key_hex) + "\t" + q.canonical);
+      EXPECT_EQ(q.key, json::fnv1a64(q.canonical));
+    } catch (const Error& e) {
+      produced.push_back(std::string("error\t") + e.what());
+    }
+  }
+  expect_matches_golden(produced, "canonical_universe_golden.tsv");
 }
 
 TEST(JsonGolden, ServeResponsesBitIdentical) {

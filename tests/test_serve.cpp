@@ -121,6 +121,75 @@ TEST(Request, StrictValidation) {
                Error);
 }
 
+TEST(Request, ValidationErrorTextsArePinned) {
+  // Error text is part of the response contract (the batch, pipe and
+  // socket front-ends echo it verbatim), and the order in which fields are
+  // claimed decides which error a request with several faults reports.
+  const std::string kRegions =
+      "names no Table 3 region (known: KN, TK, ESO, CISO, PJM, MISO, ERCOT)";
+  const std::pair<std::string, std::string> cases[] = {
+      {R"({"op":"lifetime","params":{"node":"v100","region":"ATLANTIS"}})",
+       "query 'lifetime': parameter 'region' " + kRegions},
+      {R"({"op":"trace","params":{"region":"ATLANTIS"}})",
+       "query 'trace': parameter 'region' " + kRegions},
+      {R"({"op":"sched","params":{"policy":"greedy","regions":["ESO","ATLANTIS"]}})",
+       "query 'sched': parameter 'regions' " + kRegions},
+      {R"({"op":"fleetsim","params":{"policy":"greedy","regions":["eso"]}})",
+       "query 'fleetsim': parameter 'regions' " + kRegions},
+      {R"({"op":"sched","params":{"policy":"greedy","regions":["ESO","CISO","ESO"]}})",
+       "query 'sched': parameter 'regions' lists region 'ESO' twice"},
+      {R"({"op":"sched","params":{"policy":"warp-drive"}})",
+       "query 'sched': parameter 'policy' names no registered policy (known: "
+       "fcfs, greedy, threshold, budget, forecast, net-benefit, forecast-nb, "
+       "cap)"},
+      {R"({"op":"sched","params":{"policy":"greedy","regions":[]}})",
+       "query 'sched': parameter 'regions' must have between 1 and 7 entries"},
+      {R"({"op":"sched","params":{"policy":"greedy","regions":)"
+       R"(["KN","TK","ESO","CISO","PJM","MISO","ERCOT","KN"]}})",
+       "query 'sched': parameter 'regions' must have between 1 and 7 entries"},
+      {R"({"op":"sched","params":{"policy":"greedy","regions":["ESO",7]}})",
+       "query 'sched': parameter 'regions' must be an array of strings"},
+      {R"({"op":"sched","params":{"policy":"greedy","regions":"ESO"}})",
+       "query 'sched': parameter 'regions' must be an array of strings"},
+      {R"({"op":"lifetime","params":{"node":"v100","suite":7}})",
+       "query 'lifetime': parameter 'suite' must be a string"},
+      {R"({"op":"sched","params":{"policy":7}})",
+       "query 'sched': parameter 'policy' must be a string"},
+      {R"({"op":"lifetime"})",
+       "query 'lifetime': parameter 'node' is required"},
+      {R"({"op":"embodied","params":{"part":"mi250x","x":1}})",
+       "query 'embodied': unknown parameter 'x'"},
+      {R"({"op":"trace","params":{"region":"ESO","window_hours":24}})",
+       "query 'trace': parameter 'window_start_hour' window queries need both "
+       "window_start_hour and window_hours"},
+      {R"({"op":"trace","params":{"region":"ESO","window_start_hour":0}})",
+       "query 'trace': parameter 'window_hours' window queries need both "
+       "window_start_hour and window_hours"},
+      {R"({"op":"lifetime","params":{"node":"v100","years":-1}})",
+       "query 'lifetime': parameter 'years' must be in [0.1, 100]"},
+      {R"({"op":"sched","params":{"policy":"greedy","capacity":5000}})",
+       "query 'sched': parameter 'capacity' must be in [1, 4096]"},
+      {R"({"op":"lifetime","params":{"node":"v100","samples":2.5}})",
+       "query 'lifetime': parameter 'samples' must be an integer"},
+      {R"({"op":"trace","params":{"region":"ESO","trace_csv":""}})",
+       "query 'trace': parameter 'trace_csv' must be a non-empty string"},
+      // Several faults: the first claimed field's error wins, and unknown
+      // parameters are reported only after every getter has run.
+      {R"({"op":"sched","params":{"policy":"warp-drive","regions":["ESO","ESO"]}})",
+       "query 'sched': parameter 'regions' lists region 'ESO' twice"},
+      {R"({"op":"lifetime","params":{"bogus":1,"node":"v100","years":-1}})",
+       "query 'lifetime': parameter 'years' must be in [0.1, 100]"},
+  };
+  for (const auto& [line, want] : cases) {
+    try {
+      parse(line);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), want) << line;
+    }
+  }
+}
+
 TEST(Request, TrioFamiliesShareTheJobCountGuard) {
   // 366 days x 1000 jobs/h is ~8.8M expected jobs: both trio families
   // refuse it at validation, before any simulation, with the same bytes
