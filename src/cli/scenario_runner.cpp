@@ -101,8 +101,8 @@ std::vector<std::string> policy_names() {
 }
 
 std::string parse_policy(const std::string& name) {
-  if (const auto desc = sched::find_policy(name)) {
-    return desc->name;
+  if (auto canonical = sched::canonical_policy_name(name)) {
+    return *std::move(canonical);
   }
   std::string known;
   for (const auto& n : policy_names()) known += (known.empty() ? "" : ", ") + n;

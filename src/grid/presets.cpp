@@ -185,17 +185,19 @@ RegionSpec ercot() {
   return r;
 }
 
-std::vector<RegionSpec> all_regions() {
-  return {kansai(), tokyo(), eso(), ciso(), pjm(), miso(), ercot()};
+const std::vector<RegionSpec>& all_regions() {
+  static const std::vector<RegionSpec> table = {
+      kansai(), tokyo(), eso(), ciso(), pjm(), miso(), ercot()};
+  return table;
 }
 
 std::vector<RegionSpec> fig7_regions() { return {eso(), ciso(), ercot()}; }
 
-std::optional<RegionSpec> find_region(const std::string& code) {
+const RegionSpec* find_region(std::string_view code) {
   for (const auto& spec : all_regions()) {
-    if (spec.code == code) return spec;
+    if (spec.code == code) return &spec;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 std::vector<std::string> codes_of(const std::vector<RegionSpec>& specs) {

@@ -14,8 +14,8 @@
 // lowest CoV, etc.). The calibration is asserted by tests/test_presets.cpp.
 #pragma once
 
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "grid/region.h"
@@ -30,16 +30,19 @@ RegionSpec pjm();
 RegionSpec miso();
 RegionSpec ercot();
 
-/// All seven, in the paper's Table 3 / Fig. 6 order.
-std::vector<RegionSpec> all_regions();
+/// All seven, in the paper's Table 3 / Fig. 6 order. One immutable table,
+/// built on first use and never rebuilt or copied by the lookups below.
+const std::vector<RegionSpec>& all_regions();
 
 /// The three most carbon-friendly regions compared hour-by-hour in Fig. 7.
 std::vector<RegionSpec> fig7_regions();  // ESO, CISO, ERCOT
 
-/// Preset lookup by Table 3 code; nullopt for unknown codes. The single
-/// source for "is this a known region" — CLI validation, trace imports,
-/// and the sweep sections all resolve codes through here.
-std::optional<RegionSpec> find_region(const std::string& code);
+/// Preset lookup by Table 3 code; nullptr for unknown codes. The pointer
+/// refers into all_regions() and stays valid for the whole program. The
+/// single source for "is this a known region" — CLI validation, request
+/// canonicalization, trace imports, and the sweep sections all resolve
+/// codes through here.
+const RegionSpec* find_region(std::string_view code);
 
 /// The codes of a spec list, in order (e.g. fig7_regions() -> {"ESO",
 /// "CISO", "ERCOT"}).

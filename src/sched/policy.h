@@ -25,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/units.h"
@@ -187,6 +188,12 @@ std::vector<PolicyDescriptor> registered_policies();
 /// copy (taken under the registry lock) so callers are safe against
 /// concurrent register_policy calls.
 std::optional<PolicyDescriptor> find_policy(const std::string& name_or_short);
+
+/// The canonical name of a canonical or short policy name; nullopt when
+/// unknown. Reads the registry under its lock without copying a
+/// descriptor. The one name rule the CLI and the serve layer share.
+std::optional<std::string> canonical_policy_name(
+    std::string_view name_or_short);
 
 /// Factory. Throws hpcarbon::Error for unknown names.
 std::unique_ptr<SchedulingPolicy> make_policy(const std::string& name,

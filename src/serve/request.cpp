@@ -1,8 +1,11 @@
 #include "serve/request.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <set>
+#include <initializer_list>
+#include <span>
+#include <string_view>
 
 #include "core/error.h"
 #include "core/time.h"
@@ -22,17 +25,31 @@ constexpr double kMaxExactInt = 9007199254740992.0;  // 2^53
 /// ref). Every getter validates its field, records it as consumed, and
 /// emits the normalized value (default filled, name canonicalized) as a
 /// pre-dumped canonical fragment; finish() rejects any field no getter
-/// claimed. canonical_params() assembles the sorted {"k":v,...} object
-/// text directly — the fragments byte-match what Value::dump(sort_keys)
-/// of the equivalent document would produce, so canonical keys (and every
-/// cached entry) are unchanged by the zero-copy rework.
+/// claimed. canonical() assembles the sorted {"op":..,"params":{..}} text
+/// directly — the fragments byte-match what Value::dump(sort_keys) of the
+/// equivalent document would produce, so canonical keys (and every cached
+/// entry) are unchanged by the zero-copy rework.
+///
+/// Fragments are appended to one scratch buffer and recorded as (key,
+/// begin, end) spans in fixed-capacity arrays, as are the claimed keys, so
+/// a warm parse allocates only that buffer, the canonical text and, for the
+/// trio families, the canonical policy name. String
+/// getters return views into the request document (or into static
+/// defaults): they stay valid until parse_query returns.
 class ParamReader {
  public:
   using Ref = json::Reader::Ref;
   static constexpr Ref kNone = json::Reader::kNone;
+  /// Claimed fields per family; lifetime has the most (11).
+  static constexpr std::size_t kMaxFields = 11;
+  /// Entries per string_array; bounds the region list of the trio
+  /// families (one per Table 3 region).
+  static constexpr std::size_t kMaxItems = 7;
 
   ParamReader(const json::Reader& reader, Ref params, std::string_view op)
-      : reader_(reader), params_(params), op_(op) {}
+      : reader_(reader), params_(params), op_(op) {
+    buf_.reserve(256);
+  }
 
   bool has(const char* key) const {
     return params_ != kNone && reader_.find(params_, key) != kNone;
@@ -70,28 +87,28 @@ class ParamReader {
     return n;
   }
 
-  std::string str(const char* key, const char* def) {
+  std::string_view str(const char* key, const char* def) {
     std::string_view v = def;
     if (const Ref f = claim(key); f != kNone) {
       if (!reader_.is_string(f)) fail(key, "must be a string");
       v = reader_.as_string(f);
     }
     emit_string(key, v);
-    return std::string(v);
+    return v;
   }
 
-  std::string required_str(const char* key) {
+  std::string_view required_str(const char* key) {
     const Ref f = claim(key);
     if (f == kNone) fail(key, "is required");
     if (!reader_.is_string(f)) fail(key, "must be a string");
     const std::string_view v = reader_.as_string(f);
     emit_string(key, v);
-    return std::string(v);
+    return v;
   }
 
   /// Optional string; absent fields stay absent in the normalized params
   /// (no default exists — e.g. trace_csv paths).
-  std::string optional_str(const char* key) {
+  std::string_view optional_str(const char* key) {
     const Ref f = claim(key);
     if (f == kNone) return {};
     if (!reader_.is_string(f) || reader_.as_string(f).empty()) {
@@ -99,46 +116,54 @@ class ParamReader {
     }
     const std::string_view v = reader_.as_string(f);
     emit_string(key, v);
-    return std::string(v);
+    return v;
   }
 
   /// Replace the normalized value of an already-claimed field (name
   /// canonicalization: short policy names, etc.).
-  void rewrite(const char* key, std::string canonical_value) {
-    for (auto& [k, frag] : fields_) {
-      if (k == key) {
-        frag = json::quote(canonical_value);
+  void rewrite(const char* key, std::string_view canonical_value) {
+    for (Field& field : fields_span()) {
+      if (field.key == key) {
+        field.begin = buf_.size();
+        json::quote_to(buf_, canonical_value);
+        field.end = buf_.size();
         return;
       }
     }
   }
 
-  std::vector<std::string> string_array(const char* key,
-                                        std::vector<std::string> def,
-                                        std::size_t min_len,
-                                        std::size_t max_len) {
-    std::vector<std::string> v = std::move(def);
+  /// The array's entries (or `def` when absent), valid until parse_query
+  /// returns. Every entry is type-checked before the length is.
+  std::span<const std::string_view> string_array(
+      const char* key, std::initializer_list<std::string_view> def,
+      std::size_t min_len, std::size_t max_len) {
+    HPC_REQUIRE(max_len <= kMaxItems && def.size() <= kMaxItems,
+                "ParamReader: string_array past its fixed capacity");
+    std::size_t n = def.size();
+    std::copy(def.begin(), def.end(), items_.begin());
     if (const Ref f = claim(key); f != kNone) {
       if (!reader_.is_array(f)) fail(key, "must be an array of strings");
-      v.clear();
+      n = 0;
       for (Ref item = reader_.first_child(f); item != kNone;
            item = reader_.next(item)) {
         if (!reader_.is_string(item)) fail(key, "must be an array of strings");
-        v.emplace_back(reader_.as_string(item));
+        if (n < kMaxItems) items_[n] = reader_.as_string(item);
+        ++n;
       }
     }
-    if (v.size() < min_len || v.size() > max_len) {
+    if (n < min_len || n > max_len) {
       fail(key, "must have between " + std::to_string(min_len) + " and " +
                     std::to_string(max_len) + " entries");
     }
-    std::string frag = "[";
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i != 0) frag.push_back(',');
-      json::quote_to(frag, v[i]);
+    const std::size_t begin = buf_.size();
+    buf_.push_back('[');
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i != 0) buf_.push_back(',');
+      json::quote_to(buf_, items_[i]);
     }
-    frag.push_back(']');
-    fields_.emplace_back(key, std::move(frag));
-    return v;
+    buf_.push_back(']');
+    add_field(key, begin);
+    return {items_.data(), n};
   }
 
   [[noreturn]] void fail(const char* key, const std::string& what) const {
@@ -146,47 +171,82 @@ class ParamReader {
                 what);
   }
 
-  void finish() {
+  void finish() const {
     if (params_ == kNone) return;
+    const auto consumed = consumed_.begin() + n_consumed_;
     for (Ref f = reader_.first_child(params_); f != kNone;
          f = reader_.next(f)) {
       const std::string_view k = reader_.key(f);
-      if (std::find(consumed_.begin(), consumed_.end(), k) ==
-          consumed_.end()) {
+      if (std::find(consumed_.begin(), consumed, k) == consumed) {
         throw Error("query '" + std::string(op_) + "': unknown parameter '" +
                     std::string(k) + "'");
       }
     }
   }
 
-  /// The sorted-canonical params object text ({"a":1,"b":"x"}), appended.
-  void canonical_params_to(std::string& out) {
-    std::sort(fields_.begin(), fields_.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    out.push_back('{');
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      if (i != 0) out.push_back(',');
-      json::quote_to(out, fields_[i].first);
-      out.push_back(':');
-      out += fields_[i].second;
+  /// {"op":<op>,"params":{<sorted fragments>}}, reserved to its exact size
+  /// (op and keys are plain identifiers, so quoting adds two bytes each).
+  std::string canonical() {
+    const std::span<Field> fields = fields_span();
+    std::sort(fields.begin(), fields.end(),
+              [](const Field& a, const Field& b) { return a.key < b.key; });
+    constexpr std::string_view kOp = "{\"op\":";
+    constexpr std::string_view kParams = ",\"params\":";
+    std::size_t size = kOp.size() + op_.size() + 2 + kParams.size() + 3;
+    for (const Field& field : fields) {
+      size += field.key.size() + 3 + (field.end - field.begin);
     }
-    out.push_back('}');
+    if (!fields.empty()) size += fields.size() - 1;  // commas
+    std::string out;
+    out.reserve(size);
+    out += kOp;
+    json::quote_to(out, op_);
+    out += kParams;
+    out.push_back('{');
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      if (i != 0) out.push_back(',');
+      json::quote_to(out, fields[i].key);
+      out.push_back(':');
+      out.append(buf_, fields[i].begin, fields[i].end - fields[i].begin);
+    }
+    out += "}}";
+    return out;
   }
 
  private:
+  /// One normalized field: its key and its fragment's span in buf_.
+  struct Field {
+    std::string_view key;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+
+  std::span<Field> fields_span() { return {fields_.data(), n_fields_}; }
+
   Ref claim(const char* key) {
-    consumed_.push_back(key);
+    HPC_REQUIRE(n_consumed_ < kMaxFields,
+                "ParamReader: more fields claimed than kMaxFields");
+    consumed_[n_consumed_++] = key;
     return params_ == kNone ? kNone : reader_.find(params_, key);
   }
 
+  /// Record buf_[begin, size()) as `key`'s fragment.
+  void add_field(const char* key, std::size_t begin) {
+    HPC_REQUIRE(n_fields_ < kMaxFields,
+                "ParamReader: more fields emitted than kMaxFields");
+    fields_[n_fields_++] = {key, begin, buf_.size()};
+  }
+
   void emit_number(const char* key, double v) {
-    std::string frag;
-    json::dump_number_to(frag, v);
-    fields_.emplace_back(key, std::move(frag));
+    const std::size_t begin = buf_.size();
+    json::dump_number_to(buf_, v);
+    add_field(key, begin);
   }
 
   void emit_string(const char* key, std::string_view v) {
-    fields_.emplace_back(key, json::quote(v));
+    const std::size_t begin = buf_.size();
+    json::quote_to(buf_, v);
+    add_field(key, begin);
   }
 
   const json::Reader& reader_;
@@ -194,9 +254,15 @@ class ParamReader {
   std::string_view op_;
   /// Getter keys are string literals with static storage, so views are
   /// safe to hold.
-  std::vector<std::string_view> consumed_;
-  /// (key, dumped fragment) in claim order; sorted once at assembly.
-  std::vector<std::pair<std::string_view, std::string>> fields_;
+  std::array<std::string_view, kMaxFields> consumed_;
+  std::size_t n_consumed_ = 0;
+  /// Normalized fields in claim order; sorted once at assembly.
+  std::array<Field, kMaxFields> fields_;
+  std::size_t n_fields_ = 0;
+  /// Every fragment, appended in claim order.
+  std::string buf_;
+  /// string_array's entries.
+  std::array<std::string_view, kMaxItems> items_;
 };
 
 const std::vector<std::pair<const char*, embodied::PartId>>& slug_table() {
@@ -219,8 +285,8 @@ const std::vector<std::pair<const char*, embodied::PartId>>& slug_table() {
   return table;
 }
 
-void check_region(ParamReader& r, const char* key, const std::string& code) {
-  if (!grid::find_region(code)) {
+void check_region(ParamReader& r, const char* key, std::string_view code) {
+  if (grid::find_region(code) == nullptr) {
     std::string known;
     for (const auto& c : grid::codes_of(grid::all_regions())) {
       known += (known.empty() ? "" : ", ") + c;
@@ -229,20 +295,20 @@ void check_region(ParamReader& r, const char* key, const std::string& code) {
   }
 }
 
-void check_node(ParamReader& r, const char* key, const std::string& node) {
+void check_node(ParamReader& r, const char* key, std::string_view node) {
   if (node != "p100" && node != "v100" && node != "a100") {
     r.fail(key, "must be one of p100, v100, a100");
   }
 }
 
-void check_suite(ParamReader& r, const char* key, const std::string& suite) {
+void check_suite(ParamReader& r, const char* key, std::string_view suite) {
   if (suite != "nlp" && suite != "vision" && suite != "candle") {
     r.fail(key, "must be one of nlp, vision, candle");
   }
 }
 
 void normalize_embodied(ParamReader& r) {
-  const std::string part = r.required_str("part");
+  const std::string_view part = r.required_str("part");
   const auto& table = slug_table();
   const bool known = std::any_of(table.begin(), table.end(), [&](auto& e) {
     return part == e.first;
@@ -288,16 +354,14 @@ void normalize_breakeven(ParamReader& r) {
 void normalize_trio(ParamReader& r) {
   const auto regions = r.string_array(
       "regions", {"ERCOT", "ESO", "CISO"}, 1, grid::all_regions().size());
-  std::set<std::string> seen;
-  for (const auto& code : regions) {
-    check_region(r, "regions", code);
-    if (!seen.insert(code).second) {
-      r.fail("regions", "lists region '" + code + "' twice");
+  for (auto it = regions.begin(); it != regions.end(); ++it) {
+    check_region(r, "regions", *it);
+    if (std::find(regions.begin(), it, *it) != it) {
+      r.fail("regions", "lists region '" + std::string(*it) + "' twice");
     }
   }
-  const std::string policy = r.required_str("policy");
-  const auto desc = sched::find_policy(policy);
-  if (!desc) {
+  const auto policy = sched::canonical_policy_name(r.required_str("policy"));
+  if (!policy) {
     std::string known;
     for (const auto& d : sched::registered_policies()) {
       known += (known.empty() ? "" : ", ") + d.short_name;
@@ -307,7 +371,7 @@ void normalize_trio(ParamReader& r) {
   // Short names resolve to the canonical name before hashing, so
   // {"policy":"greedy"} and {"policy":"greedy-lowest-ci"} share a cache
   // entry.
-  r.rewrite("policy", desc->name);
+  r.rewrite("policy", *policy);
 }
 
 /// Cross-field guard: the engine simulates millions of jobs per second,
@@ -332,7 +396,7 @@ void normalize_sched(ParamReader& r) {
 
 void normalize_fleetsim(ParamReader& r) {
   normalize_trio(r);
-  const std::string process = r.str("process", "poisson");
+  const std::string_view process = r.str("process", "poisson");
   if (process != "poisson" && process != "diurnal" && process != "bursty") {
     r.fail("process", "must be one of poisson, diurnal, bursty");
   }
@@ -439,12 +503,7 @@ Query parse_query(const json::Reader& reader, json::Reader::Ref doc) {
   // and the params fragments are already dump-identical, so these are the
   // exact bytes Value::dump(sort_keys=true) of the normalized document
   // produced before the zero-copy rework (pinned by the golden tests).
-  q.canonical.reserve(32 + q.op.size());
-  q.canonical += "{\"op\":";
-  json::quote_to(q.canonical, q.op);
-  q.canonical += ",\"params\":";
-  r.canonical_params_to(q.canonical);
-  q.canonical.push_back('}');
+  q.canonical = r.canonical();
   q.key = json::fnv1a64(q.canonical);
   return q;
 }

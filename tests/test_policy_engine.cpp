@@ -83,6 +83,25 @@ TEST(PolicyRegistry, ShortNamesResolveAndUnknownThrows) {
   EXPECT_THROW(make_policy("no-such-policy"), Error);
 }
 
+TEST(PolicyRegistry, CanonicalPolicyNameResolvesBothSpellings) {
+  // The one name rule behind `hpcarbon run --policies` and serve's
+  // {"policy": ...}: short and canonical names both map to the canonical.
+  EXPECT_EQ(canonical_policy_name("greedy"), "greedy-lowest-ci");
+  EXPECT_EQ(canonical_policy_name("greedy-lowest-ci"), "greedy-lowest-ci");
+  EXPECT_EQ(canonical_policy_name("forecast-nb"), "forecast-net-benefit");
+  EXPECT_EQ(canonical_policy_name("fcfs-local"), "fcfs-local");
+  EXPECT_EQ(canonical_policy_name("no-such-policy"), std::nullopt);
+  EXPECT_EQ(canonical_policy_name(""), std::nullopt);
+  // A policy registered after start-up resolves too.
+  EXPECT_EQ(canonical_policy_name("zz-late"), std::nullopt);
+  register_policy({"zz-late-probe", "zz-late", "late", {},
+                   [](const PolicyConfig& cfg) {
+                     return make_policy("fcfs-local", cfg);
+                   }});
+  EXPECT_EQ(canonical_policy_name("zz-late"), "zz-late-probe");
+  EXPECT_EQ(canonical_policy_name("zz-late-probe"), "zz-late-probe");
+}
+
 TEST(PolicyRegistry, ReRegisteringReplaces) {
   register_policy({"zz-parity-probe", "zzp", "first", {}, [](const PolicyConfig& cfg) {
                      return make_policy("fcfs-local", cfg);
