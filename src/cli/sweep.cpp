@@ -157,11 +157,11 @@ void sweep_sched(const SweepOptions& opts, SweepReport& report) {
   // Pin the savings denominator explicitly rather than trusting static
   // registration order across translation units (scenario_runner does the
   // same): policies[0] must be the fcfs-local baseline.
-  const auto fcfs = sched::find_policy("fcfs-local");
+  const auto fcfs = sched::canonical_policy_name("fcfs-local");
   HPC_REQUIRE(fcfs.has_value(), "fcfs-local baseline policy not registered");
-  std::vector<std::string> policies = {fcfs->name};
+  std::vector<std::string> policies = {*fcfs};
   for (const auto& desc : sched::registered_policies()) {
-    if (desc.name != fcfs->name) policies.push_back(desc.name);
+    if (desc.name != *fcfs) policies.push_back(desc.name);
   }
 
   fleetsim::FleetWorkloadParams wp;

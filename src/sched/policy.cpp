@@ -341,6 +341,17 @@ Registry& registry() {
   return r;
 }
 
+/// The entry whose canonical or short name is `name_or_short`; nullptr
+/// when none is.
+const PolicyDescriptor* lookup(const Registry& r,
+                               std::string_view name_or_short)
+    HPCARBON_REQUIRES(r.mu) {
+  for (const auto& e : r.entries) {
+    if (e.name == name_or_short || e.short_name == name_or_short) return &e;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 void register_policy(PolicyDescriptor descriptor) {
@@ -366,9 +377,7 @@ std::vector<PolicyDescriptor> registered_policies() {
 std::optional<PolicyDescriptor> find_policy(const std::string& name_or_short) {
   Registry& r = registry();
   MutexLock lock(r.mu);
-  for (const auto& e : r.entries) {
-    if (e.name == name_or_short || e.short_name == name_or_short) return e;
-  }
+  if (const PolicyDescriptor* e = lookup(r, name_or_short)) return *e;
   return std::nullopt;
 }
 
@@ -376,11 +385,7 @@ std::optional<std::string> canonical_policy_name(
     std::string_view name_or_short) {
   Registry& r = registry();
   MutexLock lock(r.mu);
-  for (const auto& e : r.entries) {
-    if (e.name == name_or_short || e.short_name == name_or_short) {
-      return e.name;
-    }
-  }
+  if (const PolicyDescriptor* e = lookup(r, name_or_short)) return e->name;
   return std::nullopt;
 }
 

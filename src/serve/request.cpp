@@ -33,9 +33,9 @@ constexpr double kMaxExactInt = 9007199254740992.0;  // 2^53
 /// Fragments are appended to one scratch buffer and recorded as (key,
 /// begin, end) spans in fixed-capacity arrays, as are the claimed keys, so
 /// a warm parse allocates only that buffer, the canonical text and, for the
-/// trio families, the canonical policy name. String
-/// getters return views into the request document (or into static
-/// defaults): they stay valid until parse_query returns.
+/// trio families, the canonical policy name. String getters return views
+/// into the request document (or into static defaults): they stay valid
+/// until parse_query returns.
 class ParamReader {
  public:
   using Ref = json::Reader::Ref;

@@ -58,15 +58,16 @@ namespace {
 
 using namespace hpcarbon;
 
-/// Allocations made by one parse_query of `line`, after a warm-up parse.
-long warm_parse_allocations(const std::string& line, int* family) {
+/// Allocations made by one parse_query of `line`, after a warm-up parse;
+/// `op` receives the request's family name.
+long warm_parse_allocations(const std::string& line, std::string* op) {
   json::Reader reader;
   const json::Reader::Ref root = reader.parse(line);
-  *family = serve::parse_query(reader, root).family;  // warm-up
+  *op = serve::parse_query(reader, root).op;  // warm-up
   const long before = t_allocations;
   const serve::Query q = serve::parse_query(reader, root);
   const long count = t_allocations - before;
-  EXPECT_EQ(q.family, *family);
+  EXPECT_EQ(q.op, *op);
   return count;
 }
 
@@ -88,10 +89,10 @@ TEST(CanonAllocs, WarmParseQueryStaysWithinItsAllocationBound) {
       R"({"op":"sched","params":{"policy":"budget-aware","regions":)"
       R"(["MISO","TK","PJM","KN","ERCOT","CISO","ESO"]}})");
   for (const std::string& line : lines) {
-    int family = -1;
-    const long count = warm_parse_allocations(line, &family);
-    // sched (3) and fleetsim (5) also copy the canonical policy name.
-    const long bound = (family == 3 || family == 5) ? 4 : 2;
+    std::string op;
+    const long count = warm_parse_allocations(line, &op);
+    // sched and fleetsim also copy the canonical policy name.
+    const long bound = (op == "sched" || op == "fleetsim") ? 4 : 2;
     EXPECT_GE(count, 1) << line;  // the canonical text itself
     EXPECT_LE(count, bound) << line;
   }
