@@ -101,8 +101,8 @@ std::vector<std::string> policy_names() {
 }
 
 std::string parse_policy(const std::string& name) {
-  if (auto canonical = sched::canonical_policy_name(name)) {
-    return *std::move(canonical);
+  if (const sched::PolicyDescriptor* desc = sched::find_policy(name)) {
+    return desc->name;
   }
   std::string known;
   for (const auto& n : policy_names()) known += (known.empty() ? "" : ", ") + n;
@@ -119,8 +119,8 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
   }
 
   // "fcfs-local" always runs first: it is the savings denominator. The
-  // policy set comes from the string-keyed registry, so newly registered
-  // policies appear in the matrix with no edits here.
+  // policy set comes from the policy table, so a new row there appears in
+  // the matrix with no edits here.
   std::vector<std::string> policies = {"fcfs-local"};
   std::vector<std::string> requested = opts.policies;
   if (requested.empty()) {

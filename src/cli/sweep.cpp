@@ -154,14 +154,11 @@ void sweep_sched(const SweepOptions& opts, SweepReport& report) {
   const fleetsim::FleetEngine engine(
       sched::site_trio(traces.size() - 1, traces, 16),
       HourOfYear(month_start_hour(5)));
-  // Pin the savings denominator explicitly rather than trusting static
-  // registration order across translation units (scenario_runner does the
-  // same): policies[0] must be the fcfs-local baseline.
-  const auto fcfs = sched::canonical_policy_name("fcfs-local");
-  HPC_REQUIRE(fcfs.has_value(), "fcfs-local baseline policy not registered");
-  std::vector<std::string> policies = {*fcfs};
+  // The policy table leads with fcfs-local, so policies[0] is the savings
+  // denominator.
+  std::vector<std::string> policies;
   for (const auto& desc : sched::registered_policies()) {
-    if (desc.name != *fcfs) policies.push_back(desc.name);
+    policies.push_back(desc.name);
   }
 
   fleetsim::FleetWorkloadParams wp;

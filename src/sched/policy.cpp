@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/error.h"
-#include "core/thread_annotations.h"
 #include "grid/forecast.h"
 
 namespace hpcarbon::sched {
@@ -46,8 +45,8 @@ long ClusterView::lowest_ci_free_site() const {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Built-in policies. Each is one small class; the registry entries at the
-// bottom of this file are the only other place a policy appears.
+// Built-in policies. Each is one small class; its row in the table at the
+// bottom of this file is the only other place a policy appears.
 // ---------------------------------------------------------------------------
 
 /// Everything runs at home, first come first served (carbon-unaware
@@ -324,164 +323,88 @@ class RenewableCapPolicy : public SchedulingPolicy {
   std::deque<std::pair<double, double>> recent_;  // (start time, grams)
 };
 
-// ---------------------------------------------------------------------------
-// Registry.
-// ---------------------------------------------------------------------------
-
-struct Registry {
-  AnnotatedMutex mu;
-  /// Registration order; mutated by static registrars and (rarely) by
-  /// late register_policy calls, read by every make_policy — a long-lived
-  /// daemon may do both concurrently.
-  std::vector<PolicyDescriptor> entries HPCARBON_GUARDED_BY(mu);
-};
-
-Registry& registry() {
-  static Registry r;  // constructed on first use; safe from static registrars
-  return r;
+template <class Policy>
+std::unique_ptr<SchedulingPolicy> make(const PolicyConfig& cfg) {
+  return std::make_unique<Policy>(cfg);
 }
 
-/// The entry whose canonical or short name is `name_or_short`; nullptr
-/// when none is.
-const PolicyDescriptor* lookup(const Registry& r,
-                               std::string_view name_or_short)
-    HPCARBON_REQUIRES(r.mu) {
-  for (const auto& e : r.entries) {
+}  // namespace
+
+// The built-in table, in the order `hpcarbon policies`, policy_names(),
+// and the ablation matrix report.
+const std::vector<PolicyDescriptor>& registered_policies() {
+  static const std::vector<PolicyDescriptor> table = {
+      {"fcfs-local", "fcfs",
+       "Run everything at the home site, first come first served "
+       "(carbon-unaware baseline)",
+       {},
+       make<FcfsLocalPolicy>},
+      {"greedy-lowest-ci", "greedy",
+       "Dispatch to the free site with the lowest current carbon intensity",
+       {},
+       make<GreedyLowestCiPolicy>},
+      {"threshold-delay", "threshold",
+       "Defer locally until CI drops below a threshold or the delay budget "
+       "expires",
+       {{"ci_threshold_g_per_kwh", "run when local CI is at or below this",
+         PolicyConfig{}.ci_threshold_g_per_kwh},
+        {"max_delay_hours", "hard cap on added queue delay",
+         PolicyConfig{}.max_delay_hours}},
+       make<ThresholdDelayPolicy>},
+      {"budget-aware", "budget",
+       "Greedy placement; queue priority for users economical with their "
+       "carbon budget",
+       {{"user_budget (kg)", "per-user allocation for the horizon",
+         PolicyConfig{}.user_budget.to_kilograms()}},
+       make<BudgetAwarePolicy>},
+      {"forecast-delay", "forecast",
+       "Plan each start at the offset a causal diurnal forecast predicts "
+       "cleanest",
+       {{"max_delay_hours", "start-offset search window",
+         PolicyConfig{}.max_delay_hours},
+        {"forecast_window_days", "trailing days feeding the diurnal template",
+         static_cast<double>(PolicyConfig{}.forecast_window_days)}},
+       make<ForecastDelayPolicy>},
+      {"net-benefit", "net-benefit",
+       "Go remote only when the CI gap times job energy beats the transfer "
+       "carbon",
+       {},
+       make<NetBenefitPolicy>},
+      {"forecast-net-benefit", "forecast-nb",
+       "Net-benefit dispatch priced on per-site forecasts over the job's "
+       "runtime",
+       {{"forecast_window_days", "trailing days feeding the diurnal template",
+         static_cast<double>(PolicyConfig{}.forecast_window_days)}},
+       make<ForecastNetBenefitPolicy>},
+      {"renewable-cap", "cap",
+       "Throttle dispatch while the rolling emission rate exceeds a burn cap",
+       {{"burn_cap_g_per_hour", "rolling emission-rate ceiling",
+         PolicyConfig{}.burn_cap_g_per_hour},
+        {"burn_window_hours", "window the burn rate is averaged over",
+         PolicyConfig{}.burn_window_hours},
+        {"max_delay_hours", "fairness guard: start anyway after this wait",
+         PolicyConfig{}.max_delay_hours}},
+       make<RenewableCapPolicy>},
+  };
+  return table;
+}
+
+const PolicyDescriptor* find_policy(std::string_view name_or_short) {
+  for (const auto& e : registered_policies()) {
     if (e.name == name_or_short || e.short_name == name_or_short) return &e;
   }
   return nullptr;
 }
 
-}  // namespace
-
-void register_policy(PolicyDescriptor descriptor) {
-  HPC_REQUIRE(!descriptor.name.empty() && descriptor.make != nullptr,
-              "policy descriptor needs a name and a factory");
-  Registry& r = registry();
-  MutexLock lock(r.mu);
-  for (auto& e : r.entries) {
-    if (e.name == descriptor.name) {
-      e = std::move(descriptor);
-      return;
-    }
-  }
-  r.entries.push_back(std::move(descriptor));
-}
-
-std::vector<PolicyDescriptor> registered_policies() {
-  Registry& r = registry();
-  MutexLock lock(r.mu);
-  return r.entries;
-}
-
-std::optional<PolicyDescriptor> find_policy(const std::string& name_or_short) {
-  Registry& r = registry();
-  MutexLock lock(r.mu);
-  if (const PolicyDescriptor* e = lookup(r, name_or_short)) return *e;
-  return std::nullopt;
-}
-
-std::optional<std::string> canonical_policy_name(
-    std::string_view name_or_short) {
-  Registry& r = registry();
-  MutexLock lock(r.mu);
-  if (const PolicyDescriptor* e = lookup(r, name_or_short)) return e->name;
-  return std::nullopt;
-}
-
-std::unique_ptr<SchedulingPolicy> make_policy(const std::string& name,
+std::unique_ptr<SchedulingPolicy> make_policy(std::string_view name,
                                               const PolicyConfig& cfg) {
-  const std::optional<PolicyDescriptor> desc = find_policy(name);
-  if (!desc.has_value()) {
-    std::string known;
-    for (const auto& e : registered_policies()) {
-      known += (known.empty() ? "" : ", ") + e.name;
-    }
-    throw Error("unknown policy '" + name + "' (known: " + known + ")");
+  if (const PolicyDescriptor* desc = find_policy(name)) return desc->make(cfg);
+  std::string known;
+  for (const auto& e : registered_policies()) {
+    known += (known.empty() ? "" : ", ") + e.name;
   }
-  return desc->make(cfg);
+  throw Error("unknown policy '" + std::string(name) + "' (known: " + known +
+              ")");
 }
-
-// Built-in registrations, in the order `hpcarbon policies`,
-// policy_names(), and the ablation matrix report.
-HPCARBON_REGISTER_POLICY(
-    fcfs_local, "fcfs-local", "fcfs",
-    "Run everything at the home site, first come first served "
-    "(carbon-unaware baseline)",
-    {}, [](const PolicyConfig& cfg) {
-      return std::make_unique<FcfsLocalPolicy>(cfg);
-    })
-
-HPCARBON_REGISTER_POLICY(
-    greedy_lowest_ci, "greedy-lowest-ci", "greedy",
-    "Dispatch to the free site with the lowest current carbon intensity",
-    {}, [](const PolicyConfig& cfg) {
-      return std::make_unique<GreedyLowestCiPolicy>(cfg);
-    })
-
-HPCARBON_REGISTER_POLICY(
-    threshold_delay, "threshold-delay", "threshold",
-    "Defer locally until CI drops below a threshold or the delay budget "
-    "expires",
-    ({{"ci_threshold_g_per_kwh", "run when local CI is at or below this",
-       PolicyConfig{}.ci_threshold_g_per_kwh},
-      {"max_delay_hours", "hard cap on added queue delay",
-       PolicyConfig{}.max_delay_hours}}),
-    [](const PolicyConfig& cfg) {
-      return std::make_unique<ThresholdDelayPolicy>(cfg);
-    })
-
-HPCARBON_REGISTER_POLICY(
-    budget_aware, "budget-aware", "budget",
-    "Greedy placement; queue priority for users economical with their "
-    "carbon budget",
-    ({{"user_budget (kg)", "per-user allocation for the horizon",
-       PolicyConfig{}.user_budget.to_kilograms()}}),
-    [](const PolicyConfig& cfg) {
-      return std::make_unique<BudgetAwarePolicy>(cfg);
-    })
-
-HPCARBON_REGISTER_POLICY(
-    forecast_delay, "forecast-delay", "forecast",
-    "Plan each start at the offset a causal diurnal forecast predicts "
-    "cleanest",
-    ({{"max_delay_hours", "start-offset search window",
-       PolicyConfig{}.max_delay_hours},
-      {"forecast_window_days", "trailing days feeding the diurnal template",
-       static_cast<double>(PolicyConfig{}.forecast_window_days)}}),
-    [](const PolicyConfig& cfg) {
-      return std::make_unique<ForecastDelayPolicy>(cfg);
-    })
-
-HPCARBON_REGISTER_POLICY(
-    net_benefit, "net-benefit", "net-benefit",
-    "Go remote only when the CI gap times job energy beats the transfer "
-    "carbon",
-    {}, [](const PolicyConfig& cfg) {
-      return std::make_unique<NetBenefitPolicy>(cfg);
-    })
-
-HPCARBON_REGISTER_POLICY(
-    forecast_net_benefit, "forecast-net-benefit", "forecast-nb",
-    "Net-benefit dispatch priced on per-site forecasts over the job's "
-    "runtime",
-    ({{"forecast_window_days", "trailing days feeding the diurnal template",
-       static_cast<double>(PolicyConfig{}.forecast_window_days)}}),
-    [](const PolicyConfig& cfg) {
-      return std::make_unique<ForecastNetBenefitPolicy>(cfg);
-    })
-
-HPCARBON_REGISTER_POLICY(
-    renewable_cap, "renewable-cap", "cap",
-    "Throttle dispatch while the rolling emission rate exceeds a burn cap",
-    ({{"burn_cap_g_per_hour", "rolling emission-rate ceiling",
-       PolicyConfig{}.burn_cap_g_per_hour},
-      {"burn_window_hours", "window the burn rate is averaged over",
-       PolicyConfig{}.burn_window_hours},
-      {"max_delay_hours", "fairness guard: start anyway after this wait",
-       PolicyConfig{}.max_delay_hours}}),
-    [](const PolicyConfig& cfg) {
-      return std::make_unique<RenewableCapPolicy>(cfg);
-    })
 
 }  // namespace hpcarbon::sched

@@ -11,8 +11,9 @@
 //  * SchedulingPolicy   — the strategy interface: plan a start on arrival,
 //                         pick (job, site) pairs at dispatch time, observe
 //                         started jobs.
-//  * Policy registry    — string-keyed factory; the CLI, serve, and the
-//                         benches enumerate it, so a policy registered here
+//  * Policy table       — one immutable, name-keyed table of factories
+//                         (registered_policies()); the CLI, serve, and the
+//                         benches enumerate it, so a row added there
 //                         appears in `hpcarbon run`, `hpcarbon policies`,
 //                         and the ablation bench with no further wiring.
 //
@@ -21,7 +22,6 @@
 #pragma once
 
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -41,7 +41,7 @@ class FleetEngine;  // binds ClusterView for each run (src/fleetsim)
 namespace hpcarbon::sched {
 
 /// Knob bag shared by every built-in policy; each class reads only the
-/// fields it documents. Registry `make` functions receive one of these.
+/// fields it documents. Policy-table `make` functions receive one of these.
 struct PolicyConfig {
   /// ThresholdDelay: run when local CI <= threshold…
   double ci_threshold_g_per_kwh = 150.0;
@@ -120,7 +120,7 @@ class SchedulingPolicy {
  public:
   virtual ~SchedulingPolicy() = default;
 
-  /// Canonical registry name ("greedy-lowest-ci").
+  /// Canonical policy name ("greedy-lowest-ci").
   virtual std::string name() const = 0;
 
   /// Called once before the event loop with the run's user table
@@ -167,50 +167,26 @@ struct PolicyKnob {
   double default_value = 0;
 };
 
-/// Registry entry: names, documentation, and the factory.
+/// One row of the policy table: names, documentation, and the factory.
 struct PolicyDescriptor {
   std::string name;        // canonical, e.g. "greedy-lowest-ci"
   std::string short_name;  // CLI shorthand, e.g. "greedy"
   std::string description;
   std::vector<PolicyKnob> knobs;
-  std::function<std::unique_ptr<SchedulingPolicy>(const PolicyConfig&)> make;
+  std::unique_ptr<SchedulingPolicy> (*make)(const PolicyConfig&) = nullptr;
 };
 
-/// Register a policy; idempotent per canonical name (re-registering
-/// replaces). Built-ins self-register via HPCARBON_REGISTER_POLICY.
-void register_policy(PolicyDescriptor descriptor);
+/// Every built-in policy, in the order `hpcarbon policies`, policy_names()
+/// and the ablation matrix report (fcfs-local first). One immutable table,
+/// built on first use.
+const std::vector<PolicyDescriptor>& registered_policies();
 
-/// All registered policies, in registration order (built-ins first,
-/// fcfs-local leading).
-std::vector<PolicyDescriptor> registered_policies();
-
-/// Lookup by canonical or short name; nullopt when unknown. Returns a
-/// copy (taken under the registry lock) so callers are safe against
-/// concurrent register_policy calls.
-std::optional<PolicyDescriptor> find_policy(const std::string& name_or_short);
-
-/// The canonical name of a canonical or short policy name; nullopt when
-/// unknown. Reads the registry under its lock without copying a
-/// descriptor. The one name rule the CLI and the serve layer share.
-std::optional<std::string> canonical_policy_name(
-    std::string_view name_or_short);
+/// The table row whose canonical or short name is `name_or_short`; nullptr
+/// when none is. The one name rule the CLI and the serve layer share.
+const PolicyDescriptor* find_policy(std::string_view name_or_short);
 
 /// Factory. Throws hpcarbon::Error for unknown names.
-std::unique_ptr<SchedulingPolicy> make_policy(const std::string& name,
+std::unique_ptr<SchedulingPolicy> make_policy(std::string_view name,
                                               const PolicyConfig& cfg = {});
 
 }  // namespace hpcarbon::sched
-
-/// Registers `maker` (a callable returning std::unique_ptr<SchedulingPolicy>
-/// from a const PolicyConfig&) under the given names at static-init time.
-/// Knobs is a braced list of PolicyKnob.
-#define HPCARBON_REGISTER_POLICY(ident, name_, short_name_, desc_, knobs_, \
-                                 maker_)                                   \
-  namespace {                                                              \
-  [[maybe_unused]] const bool hpcarbon_policy_##ident##_registered = [] {  \
-    ::hpcarbon::sched::register_policy(                                    \
-        {name_, short_name_, desc_,                                        \
-         std::vector<::hpcarbon::sched::PolicyKnob> knobs_, maker_});      \
-    return true;                                                           \
-  }();                                                                     \
-  }

@@ -360,8 +360,9 @@ void normalize_trio(ParamReader& r) {
       r.fail("regions", "lists region '" + std::string(*it) + "' twice");
     }
   }
-  const auto policy = sched::canonical_policy_name(r.required_str("policy"));
-  if (!policy) {
+  const sched::PolicyDescriptor* policy =
+      sched::find_policy(r.required_str("policy"));
+  if (policy == nullptr) {
     std::string known;
     for (const auto& d : sched::registered_policies()) {
       known += (known.empty() ? "" : ", ") + d.short_name;
@@ -371,7 +372,7 @@ void normalize_trio(ParamReader& r) {
   // Short names resolve to the canonical name before hashing, so
   // {"policy":"greedy"} and {"policy":"greedy-lowest-ci"} share a cache
   // entry.
-  r.rewrite("policy", *policy);
+  r.rewrite("policy", policy->name);
 }
 
 /// Cross-field guard: the engine simulates millions of jobs per second,

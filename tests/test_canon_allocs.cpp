@@ -5,8 +5,7 @@
 // operator new/delete with counting wrappers over malloc/free and checks
 // that one warm parse_query (the request already parsed into a
 // json::Reader, one parse done before counting) makes at most the scratch
-// fragment buffer and the canonical text allocations, plus the canonical
-// policy name and headroom for the trio families.
+// fragment buffer and the canonical text allocations, in every family.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -91,10 +90,8 @@ TEST(CanonAllocs, WarmParseQueryStaysWithinItsAllocationBound) {
   for (const std::string& line : lines) {
     std::string op;
     const long count = warm_parse_allocations(line, &op);
-    // sched and fleetsim also copy the canonical policy name.
-    const long bound = (op == "sched" || op == "fleetsim") ? 4 : 2;
     EXPECT_GE(count, 1) << line;  // the canonical text itself
-    EXPECT_LE(count, bound) << line;
+    EXPECT_LE(count, 2) << line << " (" << op << ")";
   }
 }
 

@@ -59,16 +59,14 @@ constexpr const char* kBuiltins[] = {
     "renewable-cap",  "forecast-net-benefit"};
 
 TEST(PolicyRegistry, AllBuiltinsRegistered) {
-  // >=: other tests in this binary may register probe policies; the
-  // assertions here must hold in any execution order.
-  const auto all = registered_policies();
-  ASSERT_GE(all.size(), 8u);
-  // fcfs-local registers first (the baseline position the scenario
-  // runner relies on).
+  const auto& all = registered_policies();
+  ASSERT_EQ(all.size(), 8u);
+  // fcfs-local leads the table (the baseline position the scenario
+  // runner and the sweep rely on).
   EXPECT_EQ(all[0].name, "fcfs-local");
   for (const char* name : kBuiltins) {
-    const auto desc = find_policy(name);
-    ASSERT_TRUE(desc.has_value()) << name;
+    const PolicyDescriptor* desc = find_policy(name);
+    ASSERT_NE(desc, nullptr) << name;
     EXPECT_EQ(desc->name, name);
     const auto policy = desc->make(PolicyConfig{});
     ASSERT_NE(policy, nullptr);
@@ -77,42 +75,17 @@ TEST(PolicyRegistry, AllBuiltinsRegistered) {
 }
 
 TEST(PolicyRegistry, ShortNamesResolveAndUnknownThrows) {
-  EXPECT_EQ(find_policy("greedy")->name, "greedy-lowest-ci");
-  EXPECT_EQ(find_policy("cap")->name, "renewable-cap");
-  EXPECT_FALSE(find_policy("no-such-policy").has_value());
-  EXPECT_THROW(make_policy("no-such-policy"), Error);
-}
-
-TEST(PolicyRegistry, CanonicalPolicyNameResolvesBothSpellings) {
   // The one name rule behind `hpcarbon run --policies` and serve's
-  // {"policy": ...}: short and canonical names both map to the canonical.
-  EXPECT_EQ(canonical_policy_name("greedy"), "greedy-lowest-ci");
-  EXPECT_EQ(canonical_policy_name("greedy-lowest-ci"), "greedy-lowest-ci");
-  EXPECT_EQ(canonical_policy_name("forecast-nb"), "forecast-net-benefit");
-  EXPECT_EQ(canonical_policy_name("fcfs-local"), "fcfs-local");
-  EXPECT_EQ(canonical_policy_name("no-such-policy"), std::nullopt);
-  EXPECT_EQ(canonical_policy_name(""), std::nullopt);
-  // A policy registered after start-up resolves too.
-  EXPECT_EQ(canonical_policy_name("zz-late"), std::nullopt);
-  register_policy({"zz-late-probe", "zz-late", "late", {},
-                   [](const PolicyConfig& cfg) {
-                     return make_policy("fcfs-local", cfg);
-                   }});
-  EXPECT_EQ(canonical_policy_name("zz-late"), "zz-late-probe");
-  EXPECT_EQ(canonical_policy_name("zz-late-probe"), "zz-late-probe");
-}
-
-TEST(PolicyRegistry, ReRegisteringReplaces) {
-  register_policy({"zz-parity-probe", "zzp", "first", {}, [](const PolicyConfig& cfg) {
-                     return make_policy("fcfs-local", cfg);
-                   }});
-  register_policy({"zz-parity-probe", "zzp", "second", {}, [](const PolicyConfig& cfg) {
-                     return make_policy("fcfs-local", cfg);
-                   }});
-  int count = 0;
-  for (const auto& d : registered_policies()) count += d.name == "zz-parity-probe";
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(find_policy("zz-parity-probe")->description, "second");
+  // {"policy": ...}: short and canonical names both find the same row.
+  EXPECT_EQ(find_policy("greedy")->name, "greedy-lowest-ci");
+  EXPECT_EQ(find_policy("greedy-lowest-ci")->name, "greedy-lowest-ci");
+  EXPECT_EQ(find_policy("greedy"), find_policy("greedy-lowest-ci"));
+  EXPECT_EQ(find_policy("forecast-nb")->name, "forecast-net-benefit");
+  EXPECT_EQ(find_policy("fcfs-local")->name, "fcfs-local");
+  EXPECT_EQ(find_policy("cap")->name, "renewable-cap");
+  EXPECT_EQ(find_policy("no-such-policy"), nullptr);
+  EXPECT_EQ(find_policy(""), nullptr);
+  EXPECT_THROW(make_policy("no-such-policy"), Error);
 }
 
 // The engine's O(1) prefix-sum carbon must agree with an hour-stepping
