@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,6 +144,20 @@ std::uint64_t parse_non_negative_integer(const char* flag,
   return static_cast<std::uint64_t>(n);
 }
 
+int parse_positive_int(const char* flag, const std::string& value) {
+  const double n = parse_number(flag, value);
+  // The INT_MAX bound comes first: the cast is undefined past int's range.
+  if (n < 1 || n > std::numeric_limits<int>::max() || n != std::floor(n)) {
+    throw Error(std::string(flag) + " expects a positive integer");
+  }
+  return static_cast<int>(n);
+}
+
+std::string flag_value(const char* flag, int argc, char** argv, int& i) {
+  if (i + 1 >= argc) throw Error(std::string(flag) + " needs a value");
+  return argv[++i];
+}
+
 std::vector<std::string> split_list(const std::string& list) {
   std::vector<std::string> items;
   for (std::size_t pos = 0; pos != std::string::npos;) {
@@ -225,33 +240,30 @@ int cmd_run(int argc, char** argv, std::ostream& err) {
   std::size_t threads = 0;  // 0: no --threads flag; use default_worker_threads
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next_value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) throw Error(std::string(flag) + " needs a value");
-      return argv[++i];
-    };
     if (arg == "--all-regions") {
       all_regions = true;
     } else if (arg == "--policies") {
-      for (const auto& name : split_list(next_value("--policies"))) {
+      for (const auto& name :
+           split_list(flag_value("--policies", argc, argv, i))) {
         opts.policies.push_back(parse_policy(name));
       }
     } else if (arg == "--days") {
-      opts.horizon_days = parse_number("--days", next_value("--days"));
+      opts.horizon_days =
+          parse_number("--days", flag_value("--days", argc, argv, i));
     } else if (arg == "--rate") {
-      opts.arrival_rate_per_hour = parse_number("--rate", next_value("--rate"));
+      opts.arrival_rate_per_hour =
+          parse_number("--rate", flag_value("--rate", argc, argv, i));
     } else if (arg == "--uncertainty") {
-      const double n = parse_number("--uncertainty", next_value("--uncertainty"));
-      if (n < 1 || n != static_cast<int>(n)) {
-        throw Error("--uncertainty expects a positive integer sample count");
-      }
-      opts.uncertainty_samples = static_cast<int>(n);
+      opts.uncertainty_samples = parse_positive_int(
+          "--uncertainty", flag_value("--uncertainty", argc, argv, i));
     } else if (arg == "--trace-csv") {
       opts.trace_csv.push_back(
-          parse_trace_override(next_value("--trace-csv")));
+          parse_trace_override(flag_value("--trace-csv", argc, argv, i)));
     } else if (arg == "--csv") {
-      csv_path = next_value("--csv");
+      csv_path = flag_value("--csv", argc, argv, i);
     } else if (arg == "--threads") {
-      threads = parse_non_negative_integer("--threads", next_value("--threads"));
+      threads = parse_non_negative_integer(
+          "--threads", flag_value("--threads", argc, argv, i));
     } else if (!arg.empty() && arg[0] == '-') {
       throw Error("unknown flag '" + arg + "' (see `hpcarbon help`)");
     } else if (std::find(opts.regions.begin(), opts.regions.end(), arg) ==

@@ -39,6 +39,16 @@ double parse_number(const char* flag, const std::string& value);
 std::uint64_t parse_non_negative_integer(const char* flag,
                                          const std::string& value);
 
+/// parse_number, then a whole number in [1, INT_MAX]. Throws
+/// hpcarbon::Error "<flag> expects a positive integer" otherwise. Sample
+/// counts and --capacity.
+int parse_positive_int(const char* flag, const std::string& value);
+
+/// The value of the flag at argv[i]: advances `i` and returns argv[i].
+/// Throws hpcarbon::Error "<flag> needs a value" when argv ends first.
+/// Shared by every subcommand's flag loop.
+std::string flag_value(const char* flag, int argc, char** argv, int& i);
+
 /// The comma-separated items of `list` ("a,,b" -> {"a", "b"}).
 std::vector<std::string> split_list(const std::string& list);
 

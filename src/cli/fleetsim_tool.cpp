@@ -34,54 +34,44 @@ struct FleetsimOptions {
   std::size_t threads = 0;
 };
 
-int parse_positive_int(const char* flag, const std::string& value) {
-  const double n = parse_number(flag, value);
-  if (n < 1 || n != static_cast<int>(n)) {
-    throw Error(std::string(flag) + " expects a positive integer");
-  }
-  return static_cast<int>(n);
-}
-
 FleetsimOptions parse_args(int argc, char** argv) {
   FleetsimOptions opts;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next_value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) throw Error(std::string(flag) + " needs a value");
-      return argv[++i];
-    };
     if (arg == "--policies") {
-      for (const auto& name : split_list(next_value("--policies"))) {
+      for (const auto& name :
+           split_list(flag_value("--policies", argc, argv, i))) {
         opts.policies.push_back(parse_policy(name));
       }
     } else if (arg == "--process") {
-      opts.workload.process =
-          fleetsim::arrival_process_from(next_value("--process"));
+      opts.workload.process = fleetsim::arrival_process_from(
+          flag_value("--process", argc, argv, i));
     } else if (arg == "--days") {
       opts.workload.horizon_hours =
-          24.0 * parse_number("--days", next_value("--days"));
+          24.0 * parse_number("--days", flag_value("--days", argc, argv, i));
       if (opts.workload.horizon_hours <= 0) {
         throw Error("--days expects a positive number");
       }
     } else if (arg == "--rate") {
       opts.workload.rate_per_hour =
-          parse_number("--rate", next_value("--rate"));
+          parse_number("--rate", flag_value("--rate", argc, argv, i));
       if (opts.workload.rate_per_hour <= 0) {
         throw Error("--rate expects a positive number");
       }
     } else if (arg == "--capacity") {
-      opts.capacity = parse_positive_int("--capacity", next_value("--capacity"));
+      opts.capacity = parse_positive_int(
+          "--capacity", flag_value("--capacity", argc, argv, i));
     } else if (arg == "--seed") {
-      opts.workload.seed =
-          parse_non_negative_integer("--seed", next_value("--seed"));
+      opts.workload.seed = parse_non_negative_integer(
+          "--seed", flag_value("--seed", argc, argv, i));
     } else if (arg == "--uncertainty") {
-      opts.uncertainty_samples =
-          parse_positive_int("--uncertainty", next_value("--uncertainty"));
+      opts.uncertainty_samples = parse_positive_int(
+          "--uncertainty", flag_value("--uncertainty", argc, argv, i));
     } else if (arg == "--jobs-csv") {
-      opts.jobs_csv = next_value("--jobs-csv");
+      opts.jobs_csv = flag_value("--jobs-csv", argc, argv, i);
     } else if (arg == "--threads") {
-      opts.threads =
-          parse_non_negative_integer("--threads", next_value("--threads"));
+      opts.threads = parse_non_negative_integer(
+          "--threads", flag_value("--threads", argc, argv, i));
     } else if (!arg.empty() && arg[0] == '-') {
       throw Error("unknown flag '" + arg + "' (see `hpcarbon help`)");
     } else if (std::find(opts.regions.begin(), opts.regions.end(), arg) ==

@@ -1,7 +1,5 @@
 #include "cli/metrics_tool.h"
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -9,7 +7,9 @@
 #include <iostream>
 #include <string>
 
+#include "cli/dispatch.h"
 #include "core/error.h"
+#include "net/listener.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "serve/engine.h"
@@ -20,21 +20,7 @@ namespace {
 
 /// One scrape: connect, read to EOF, return the exposition bytes.
 std::string scrape_unix(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    throw Error("metrics: socket path too long: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw Error("metrics: socket() failed");
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) < 0) {
-    const std::string why = std::strerror(errno);
-    ::close(fd);
-    throw Error("metrics: cannot connect to " + path + ": " + why);
-  }
+  const int fd = net::connect_unix(path);
   std::string out;
   char chunk[65536];
   while (true) {
@@ -63,8 +49,7 @@ int cmd_metrics(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--unix") {
-      if (i + 1 >= argc) throw Error("--unix needs a value");
-      unix_path = argv[++i];
+      unix_path = flag_value("--unix", argc, argv, i);
     } else if (arg == "--local") {
       local = true;
     } else {

@@ -42,11 +42,6 @@ struct FrontEndOptions {
   double idle_timeout_s = net::ServerOptions{}.idle_timeout_s;
 };
 
-std::string next_value(const char* flag, int argc, char** argv, int& i) {
-  if (i + 1 >= argc) throw Error(std::string(flag) + " needs a value");
-  return argv[++i];
-}
-
 std::size_t parse_count(const char* flag, const std::string& v, long min) {
   std::size_t consumed = 0;
   long n = 0;
@@ -67,7 +62,7 @@ std::size_t parse_count(const char* flag, const std::string& v, long min) {
 bool parse_common_flag(const std::string& arg, int argc, char** argv, int& i,
                        FrontEndOptions& opts) {
   auto next_count = [&](const char* flag) {
-    return parse_count(flag, next_value(flag, argc, argv, i), 1);
+    return parse_count(flag, flag_value(flag, argc, argv, i), 1);
   };
   if (arg == "--threads") {
     opts.threads = next_count("--threads");
@@ -96,39 +91,39 @@ bool parse_common_flag(const std::string& arg, int argc, char** argv, int& i,
 bool parse_net_flag(const std::string& arg, int argc, char** argv, int& i,
                     FrontEndOptions& opts) {
   if (arg == "--listen") {
-    opts.listen = next_value("--listen", argc, argv, i);
+    opts.listen = flag_value("--listen", argc, argv, i);
     return true;
   }
   if (arg == "--unix") {
-    opts.unix_path = next_value("--unix", argc, argv, i);
+    opts.unix_path = flag_value("--unix", argc, argv, i);
     return true;
   }
   if (arg == "--workers") {  // 0 = answer inline on the IO thread
     opts.workers =
-        parse_count("--workers", next_value("--workers", argc, argv, i), 0);
+        parse_count("--workers", flag_value("--workers", argc, argv, i), 0);
     return true;
   }
   if (arg == "--max-conns") {
     opts.max_conns = parse_count(
-        "--max-conns", next_value("--max-conns", argc, argv, i), 1);
+        "--max-conns", flag_value("--max-conns", argc, argv, i), 1);
     return true;
   }
   if (arg == "--max-inflight") {
     opts.max_inflight = parse_count(
-        "--max-inflight", next_value("--max-inflight", argc, argv, i), 1);
+        "--max-inflight", flag_value("--max-inflight", argc, argv, i), 1);
     return true;
   }
   if (arg == "--idle-timeout") {  // seconds; 0 disables
     opts.idle_timeout_s = parse_number(
-        "--idle-timeout", next_value("--idle-timeout", argc, argv, i));
+        "--idle-timeout", flag_value("--idle-timeout", argc, argv, i));
     return true;
   }
   if (arg == "--metrics-unix") {
-    opts.metrics_unix = next_value("--metrics-unix", argc, argv, i);
+    opts.metrics_unix = flag_value("--metrics-unix", argc, argv, i);
     return true;
   }
   if (arg == "--stats-interval") {
-    const std::string v = next_value("--stats-interval", argc, argv, i);
+    const std::string v = flag_value("--stats-interval", argc, argv, i);
     const double s = parse_number("--stats-interval", v);
     if (s < 0) {
       throw Error("--stats-interval expects seconds (0 disables), got '" + v +
@@ -334,8 +329,7 @@ int cmd_batch(int argc, char** argv) {
     const std::string arg = argv[i];
     if (parse_common_flag(arg, argc, argv, i, opts)) continue;
     if (arg == "--out") {
-      if (i + 1 >= argc) throw Error("--out needs a value");
-      opts.out_path = argv[++i];
+      opts.out_path = flag_value("--out", argc, argv, i);
     } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
       throw Error("unknown batch flag '" + arg + "' (see `hpcarbon help`)");
     } else if (opts.input_path.empty()) {

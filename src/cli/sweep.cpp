@@ -271,20 +271,11 @@ int cmd_sweep(int argc, char** argv) {
   int samples_flag = 0, sched_samples_flag = 0;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next_value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) throw Error(std::string(flag) + " needs a value");
-      return argv[++i];
-    };
     auto next_number = [&](const char* flag) {
-      return parse_number(flag, next_value(flag));
+      return parse_number(flag, flag_value(flag, argc, argv, i));
     };
     auto next_count = [&](const char* flag) {
-      const double n = next_number(flag);
-      if (n < 1 || n != static_cast<int>(n)) {
-        throw Error(std::string(flag) +
-                    " expects a positive integer sample count");
-      }
-      return static_cast<int>(n);
+      return parse_positive_int(flag, flag_value(flag, argc, argv, i));
     };
     if (arg == "--smoke") {
       smoke = true;
@@ -293,9 +284,11 @@ int cmd_sweep(int argc, char** argv) {
     } else if (arg == "--sched-samples") {
       sched_samples_flag = next_count("--sched-samples");
     } else if (arg == "--seed") {
-      opts.seed = parse_non_negative_integer("--seed", next_value("--seed"));
+      opts.seed = parse_non_negative_integer(
+          "--seed", flag_value("--seed", argc, argv, i));
     } else if (arg == "--section") {
-      for (const auto& name : split_list(next_value("--section"))) {
+      for (const auto& name :
+           split_list(flag_value("--section", argc, argv, i))) {
         // Repeats would duplicate both the computation and the rows.
         if (std::find(opts.sections.begin(), opts.sections.end(), name) ==
             opts.sections.end()) {
@@ -303,7 +296,7 @@ int cmd_sweep(int argc, char** argv) {
         }
       }
     } else if (arg == "--region") {
-      opts.region = next_value("--region");
+      opts.region = flag_value("--region", argc, argv, i);
     } else if (arg == "--years") {
       opts.lifetime_years = next_number("--years");
     } else if (arg == "--horizon") {
@@ -320,12 +313,12 @@ int cmd_sweep(int argc, char** argv) {
       opts.bands.grid_ci = next_number("--band-grid");
     } else if (arg == "--trace-csv") {
       opts.trace_csv.push_back(
-          parse_trace_override(next_value("--trace-csv")));
+          parse_trace_override(flag_value("--trace-csv", argc, argv, i)));
     } else if (arg == "--csv") {
-      csv_path = next_value("--csv");
+      csv_path = flag_value("--csv", argc, argv, i);
     } else if (arg == "--threads") {
-      threads =
-          parse_non_negative_integer("--threads", next_value("--threads"));
+      threads = parse_non_negative_integer(
+          "--threads", flag_value("--threads", argc, argv, i));
     } else {
       throw Error("unknown sweep argument '" + arg +
                   "' (see `hpcarbon help`)");

@@ -1,6 +1,7 @@
 #include "cli/trace_tool.h"
 
 #include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -50,31 +51,29 @@ TraceArgs parse_args(int argc, char** argv) {
   TraceArgs args;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next_value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) throw Error(std::string(flag) + " needs a value");
-      return argv[++i];
-    };
     if (arg == "--region") {
-      args.flags.region = next_value("--region");
+      args.flags.region = flag_value("--region", argc, argv, i);
     } else if (arg == "--tz-offset") {
-      const double off = parse_number("--tz-offset", next_value("--tz-offset"));
-      if (off != static_cast<int>(off) || off < -12 || off > 14) {
+      const double off = parse_number(
+          "--tz-offset", flag_value("--tz-offset", argc, argv, i));
+      if (off < -12 || off > 14 || off != std::floor(off)) {
         throw Error("--tz-offset expects a whole-hour UTC offset");
       }
       args.flags.options.tz = TimeZone(static_cast<int>(off), "forced");
       args.flags.tz_forced = true;
     } else if (arg == "--step-in") {
       args.flags.options.step_seconds =
-          parse_number("--step-in", next_value("--step-in"));
+          parse_number("--step-in", flag_value("--step-in", argc, argv, i));
     } else if (arg == "--max-gap") {
       args.flags.options.max_gap_samples = static_cast<int>(
-          parse_number("--max-gap", next_value("--max-gap")));
+          parse_number("--max-gap", flag_value("--max-gap", argc, argv, i)));
     } else if (arg == "--no-tile") {
       args.flags.options.tile_to_year = false;
     } else if (arg == "--step") {
-      args.step_out = parse_number("--step", next_value("--step"));
+      args.step_out =
+          parse_number("--step", flag_value("--step", argc, argv, i));
     } else if (arg == "--out") {
-      args.out_path = next_value("--out");
+      args.out_path = flag_value("--out", argc, argv, i);
     } else if (!arg.empty() && arg[0] == '-') {
       throw Error("unknown flag '" + arg + "' (see `hpcarbon trace`)");
     } else if (args.verb.empty()) {

@@ -389,6 +389,24 @@ TEST(Dispatch, NonFiniteNumbersAreRejectedDuringArgumentParsing) {
   }
 }
 
+// Positive-integer flags bound the value before casting it to int, so a
+// huge count is an argument error rather than an undefined conversion.
+TEST(Dispatch, PositiveIntegerFlagsRejectValuesPastIntMax) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"run", "--uncertainty", "1e30"},
+      {"fleetsim", "--capacity", "3000000000"},
+      {"sweep", "--samples", "1e30"},
+  };
+  for (const auto& args : cases) {
+    try {
+      run_dispatch(args);
+      ADD_FAILURE() << args[0] << " " << args[1] << " did not throw";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), args[1] + " expects a positive integer");
+    }
+  }
+}
+
 TEST(Sweep, DeterministicForFixedSeed) {
   SweepOptions opts;
   opts.samples = 32;
