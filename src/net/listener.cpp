@@ -121,15 +121,18 @@ int listen_tcp(const std::string& host_port, int backlog) {
   return fd;
 }
 
+void remove_stale_socket(const std::string& path) {
+  struct stat st{};
+  if (lstat(path.c_str(), &st) != 0) return;
+  if (!S_ISSOCK(st.st_mode)) {
+    throw Error("net: '" + path + "' exists and is not a socket");
+  }
+  unlink(path.c_str());
+}
+
 int listen_unix(const std::string& path, int backlog) {
   const sockaddr_un addr = unix_addr(path);
-  struct stat st{};
-  if (lstat(path.c_str(), &st) == 0) {
-    if (!S_ISSOCK(st.st_mode)) {
-      throw Error("net: '" + path + "' exists and is not a socket");
-    }
-    unlink(path.c_str());  // stale socket from an unclean shutdown
-  }
+  remove_stale_socket(path);
   const int fd = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) sys_fail("socket(AF_UNIX)");
   if (bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0 ||

@@ -18,9 +18,13 @@ namespace hpcarbon::net {
 int listen_tcp(const std::string& host_port, int backlog = 512);
 
 /// Filesystem path -> non-blocking listening Unix-domain stream socket.
-/// An existing socket file at `path` is unlinked first (stale leftover
-/// from an unclean shutdown); a non-socket file is an error.
+/// `path` is cleared first with remove_stale_socket.
 int listen_unix(const std::string& path, int backlog = 512);
+
+/// Ready `path` for a Unix-domain bind: unlink a socket file left there
+/// by an unclean shutdown; throw hpcarbon::Error when `path` holds
+/// anything else (a regular file, a directory), which is never removed.
+void remove_stale_socket(const std::string& path);
 
 /// The "ip:port" a listening TCP socket actually bound (resolves port 0).
 std::string bound_endpoint(int fd);

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "core/error.h"
+#include "net/listener.h"
 #include "obs/export.h"
 
 namespace hpcarbon::obs {
@@ -27,9 +28,9 @@ void ScrapeServer::start() {
               "--metrics-unix path too long: " + path_);
   std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
 
+  net::remove_stale_socket(path_);
   const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   HPC_REQUIRE(fd >= 0, std::string("metrics socket: ") + std::strerror(errno));
-  ::unlink(path_.c_str());  // stale socket from a previous run
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
       ::listen(fd, 16) != 0) {
     const std::string what = std::strerror(errno);
@@ -41,14 +42,13 @@ void ScrapeServer::start() {
 }
 
 void ScrapeServer::stop() {
-  if (listen_fd_ >= 0) {
-    // shutdown() unblocks a blocked accept() on Linux; close() finishes it.
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (thread_.joinable()) thread_.join();
-  if (!path_.empty()) ::unlink(path_.c_str());
+  if (listen_fd_ < 0) return;  // never bound, or already stopped
+  // shutdown() unblocks a blocked accept() on Linux; close() finishes it.
+  ::shutdown(listen_fd_, SHUT_RDWR);
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+  thread_.join();
+  ::unlink(path_.c_str());  // the socket start() bound
 }
 
 void ScrapeServer::accept_loop() {

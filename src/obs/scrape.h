@@ -27,15 +27,18 @@ class ScrapeServer {
   /// `registry` nullptr selects MetricsRegistry::global().
   explicit ScrapeServer(std::string unix_path,
                         MetricsRegistry* registry = nullptr);
-  ~ScrapeServer();  // stop() + join + unlink
+  ~ScrapeServer();  // stop()
 
   ScrapeServer(const ScrapeServer&) = delete;
   ScrapeServer& operator=(const ScrapeServer&) = delete;
 
   /// Bind + listen + spawn the accept thread. Throws hpcarbon::Error on
-  /// any socket failure (stale socket files are unlinked first).
+  /// any socket failure. A stale socket file at the path is unlinked
+  /// first; any other file there is an error and is left alone
+  /// (net::remove_stale_socket).
   void start();
-  /// Close the listener and join the accept thread; idempotent.
+  /// Close the listener, join the accept thread and unlink the socket
+  /// start() bound; idempotent, and a no-op when start() never bound.
   void stop();
 
   const std::string& path() const { return path_; }

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -315,6 +317,25 @@ TEST(ObsScrape, ServesOneExpositionPerConnection) {
     EXPECT_NE(text.find("test_scrape_total 5\n"), std::string::npos) << text;
   }
   server.stop();
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);  // the bound socket is gone
+}
+
+// A path that holds anything but a socket is refused, and neither start()
+// nor the destructor removes what is there.
+TEST(ObsScrape, RefusesANonSocketPathAndLeavesItInPlace) {
+  MetricsRegistry reg;
+  const std::string path =
+      "/tmp/hpcarbon_test_obs_" + std::to_string(::getpid()) + ".txt";
+  std::ofstream(path) << "operator notes\n";
+  {
+    ScrapeServer server(path, &reg);
+    EXPECT_THROW(server.start(), Error);
+  }
+  std::ifstream in(path);
+  const std::string content{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+  EXPECT_EQ(content, "operator notes\n");
+  ::unlink(path.c_str());
 }
 
 TEST(ObsRaceStress, ConcurrentRecordVsScrapeReconcilesExactly) {
