@@ -367,42 +367,29 @@ TEST(Dispatch, FleetsimRunsHomePlusTwoCleanestSites) {
   EXPECT_EQ(policies, std::vector<std::string>{"greedy-lowest-ci"}) << out;
 }
 
-// inf and nan are rejected while the arguments are parsed, before an
-// infinite --rate or --days reaches job generation or a nan idle timeout
-// reaches the server's millisecond cast.
-TEST(Dispatch, NonFiniteNumbersAreRejectedDuringArgumentParsing) {
-  const std::vector<std::vector<std::string>> cases = {
-      {"fleetsim", "--rate", "inf"},
-      {"run", "--days", "inf"},
-      {"serve", "--idle-timeout", "nan"},
+// Bad numbers are rejected while the arguments are parsed: an infinite
+// --rate or --days never reaches job generation, a nan idle timeout never
+// reaches the server's millisecond cast, and a count past INT_MAX never
+// reaches an int cast.
+TEST(Dispatch, BadNumbersAreRejectedDuringArgumentParsing) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"fleetsim", "--rate", "inf"}, "--rate expects a finite number"},
+      {{"run", "--days", "inf"}, "--days expects a finite number"},
+      {{"serve", "--idle-timeout", "nan"},
+       "--idle-timeout expects a finite number"},
+      {{"run", "--uncertainty", "1e30"},
+       "--uncertainty expects a positive integer"},
+      {{"fleetsim", "--capacity", "3000000000"},
+       "--capacity expects a positive integer"},
+      {{"sweep", "--samples", "1e30"}, "--samples expects a positive integer"},
   };
-  for (const auto& args : cases) {
+  for (const auto& [args, expected] : cases) {
     try {
       run_dispatch(args);
       ADD_FAILURE() << args[0] << " " << args[1] << " did not throw";
     } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find(args[1] +
-                                           " expects a finite number"),
-                std::string::npos)
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
           << e.what();
-    }
-  }
-}
-
-// Positive-integer flags bound the value before casting it to int, so a
-// huge count is an argument error rather than an undefined conversion.
-TEST(Dispatch, PositiveIntegerFlagsRejectValuesPastIntMax) {
-  const std::vector<std::vector<std::string>> cases = {
-      {"run", "--uncertainty", "1e30"},
-      {"fleetsim", "--capacity", "3000000000"},
-      {"sweep", "--samples", "1e30"},
-  };
-  for (const auto& args : cases) {
-    try {
-      run_dispatch(args);
-      ADD_FAILURE() << args[0] << " " << args[1] << " did not throw";
-    } catch (const Error& e) {
-      EXPECT_EQ(std::string(e.what()), args[1] + " expects a positive integer");
     }
   }
 }
