@@ -330,8 +330,6 @@ std::unique_ptr<SchedulingPolicy> make(const PolicyConfig& cfg) {
 
 }  // namespace
 
-// The built-in table, in the order `hpcarbon policies`, policy_names(),
-// and the ablation matrix report.
 const std::vector<PolicyDescriptor>& registered_policies() {
   static const std::vector<PolicyDescriptor> table = {
       {"fcfs-local", "fcfs",
