@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <random>
 #include <vector>
 
 #include "core/error.h"
@@ -54,6 +56,35 @@ TEST(Stats, QuantileLinearInterpolation) {
 TEST(Stats, QuantileUnsortedInput) {
   std::vector<double> xs = {9, 1, 5, 3, 7};
   EXPECT_DOUBLE_EQ(median(xs), 5.0);
+}
+
+// R type-7 on a fully sorted copy: the definition quantile() must match
+// bit for bit, however it finds the two order statistics.
+double sorted_type_seven(std::vector<double> xs, double p) {
+  std::sort(xs.begin(), xs.end());
+  if (xs.size() == 1) return xs.front();
+  const double h = p * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(h));
+  const auto hi = std::min(lo + 1, xs.size() - 1);
+  return xs[lo] + (h - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
+}
+
+TEST(Stats, QuantileMatchesSortedTypeSeven) {
+  std::mt19937_64 gen(20231112);
+  std::uniform_int_distribution<int> small(0, 9);  // forces duplicates
+  std::uniform_real_distribution<double> wide(-50.0, 50.0);
+  for (const std::size_t n : {1, 2, 3, 7, 20, 101, 1000}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        x = trial % 2 == 0 ? 0.5 * small(gen) : wide(gen);
+      }
+      for (const double p : {0.0, 0.05, 0.5, 0.95, 1.0}) {
+        EXPECT_EQ(quantile(xs, p), sorted_type_seven(xs, p))
+            << "n=" << n << " trial=" << trial << " p=" << p;
+      }
+    }
+  }
 }
 
 TEST(Stats, CovPercent) {
