@@ -1,12 +1,11 @@
 #include "fleetsim/engine.h"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
 #include <utility>
 
 #include "core/error.h"
 #include "core/stats.h"
+#include "fleetsim/completion_queue.h"
 
 namespace hpcarbon::fleetsim {
 
@@ -62,17 +61,6 @@ int FleetEngine::capacity_total() const {
   return total;
 }
 
-namespace {
-
-/// (completion tick, site), min-heap on tick. Ties pop in arbitrary order
-/// — all due completions free their slots before any decision is
-/// consulted, so tie order is unobservable.
-using Completion = std::pair<Tick, std::uint32_t>;
-
-constexpr Tick kNoEvent = std::numeric_limits<Tick>::max();
-
-}  // namespace
-
 sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
                                         sched::SchedulingPolicy& policy,
                                         FleetOutcomes* outcomes,
@@ -96,16 +84,19 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   for (const auto& s : sites_) free_slots.push_back(s.capacity);
 
   std::vector<sched::PendingJob> waiting;
-  // Parallel to `waiting`: the tick the planned start rounds up to, and
-  // the job's duration in ticks (PendingJob cannot carry ticks).
+  // Parallel to `waiting`: the tick the planned start rounds up to, the
+  // job's duration in ticks and its user's ledger account (PendingJob
+  // carries neither ticks nor account indices).
   struct WaitMeta {
     Tick earliest;
     Tick duration;
+    sched::CarbonBudgetLedger::Account account;
   };
   std::vector<WaitMeta> waiting_meta;
-  std::priority_queue<Completion, std::vector<Completion>,
-                      std::greater<Completion>>
-      completions;
+  // A radix heap on the tick clock (fleetsim/completion_queue.h). Due
+  // completions all free their slots before any decision is consulted, so
+  // the order among same-tick completions is unobservable.
+  CompletionQueue completions;
 
   sched::ScheduleMetrics metrics;
   std::vector<double> waits;
@@ -134,16 +125,21 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   view.epoch_ = epoch_;
 
   policy.begin_run(jobs.users, ledger, view);
+  // Each `users` row's ledger account, resolved once: the per-job charge
+  // indexes a vector instead of looking a name up.
+  std::vector<sched::CarbonBudgetLedger::Account> accounts;
+  accounts.reserve(jobs.users.size());
+  for (const auto& u : jobs.users) accounts.push_back(ledger.account(u));
 
   // Accounting order is part of the output: FP sums are order-sensitive,
   // so reordering these operations moves the golden metrics in
   // tests/test_fleetsim.cpp.
   auto start_job = [&](const sched::Job& j, std::size_t site, Tick now_tick,
-                       Tick duration_tick) {
+                       const WaitMeta& meta) {
     const double now = t_hours;
     --free_slots[site];
-    completions.emplace(now_tick + duration_tick,
-                        static_cast<std::uint32_t>(site));
+    completions.push(now_tick + meta.duration,
+                     static_cast<std::uint32_t>(site));
     const double grams =
         view.job_carbon_g(site, j.it_power, now, j.duration_hours);
     const double kwh =
@@ -161,7 +157,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
     makespan = std::max(makespan, now + j.duration_hours);
     const double wait = now - j.submit_hour;
     waits.push_back(wait);
-    ledger.charge(j.user, Mass::grams(grams + tgrams));
+    ledger.charge(meta.account, Mass::grams(grams + tgrams));
     if (outcomes != nullptr) {
       outcomes->job_id.push_back(static_cast<std::int32_t>(j.id));
       outcomes->site.push_back(static_cast<std::uint32_t>(site));
@@ -182,12 +178,12 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
                       free_slots[decision->site] > 0,
                   "policy returned an invalid dispatch decision");
       const sched::Job j = std::move(waiting[decision->queue_index].job);
-      const Tick duration_tick = waiting_meta[decision->queue_index].duration;
+      const WaitMeta meta = waiting_meta[decision->queue_index];
       waiting.erase(waiting.begin() +
                     static_cast<std::ptrdiff_t>(decision->queue_index));
       waiting_meta.erase(waiting_meta.begin() +
                          static_cast<std::ptrdiff_t>(decision->queue_index));
-      start_job(j, decision->site, t, duration_tick);
+      start_job(j, decision->site, t, meta);
     }
   };
 
@@ -199,9 +195,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
     if (next_arrival < n) {
       next_tick = std::min(next_tick, jobs.submit[next_arrival]);
     }
-    if (!completions.empty()) {
-      next_tick = std::min(next_tick, completions.top().first);
-    }
+    next_tick = std::min(next_tick, completions.next());
     if (!waiting.empty()) {
       // Next whole hour (t >= 0, so integer division floors).
       next_tick =
@@ -214,10 +208,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
     t = std::max(t, next_tick);
     t_hours = hours_of(t);
 
-    while (!completions.empty() && completions.top().first <= t) {
-      ++free_slots[completions.top().second];
-      completions.pop();
-    }
+    completions.pop_due(t, free_slots);
     while (next_arrival < n && jobs.submit[next_arrival] <= t) {
       sched::PendingJob& p = waiting.emplace_back();
       p.job.id = jobs.id[next_arrival];
@@ -226,8 +217,9 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
       p.job.duration_hours = hours_of(jobs.duration[next_arrival]);
       p.job.it_power = jobs.power[next_arrival];
       p.earliest_start = policy.planned_start(p.job, view);
-      waiting_meta.push_back(
-          WaitMeta{ceil_tick(p.earliest_start), jobs.duration[next_arrival]});
+      waiting_meta.push_back(WaitMeta{ceil_tick(p.earliest_start),
+                                      jobs.duration[next_arrival],
+                                      accounts[jobs.user[next_arrival]]});
       ++next_arrival;
     }
     dispatch();

@@ -1,7 +1,7 @@
 // Discrete-event scheduling engine: the mechanism layer of the scheduler.
 //
 // The engine owns everything policy-independent — arrival ordering, the
-// completion min-heap, hourly re-evaluation ticks while jobs queue,
+// completion queue, hourly re-evaluation ticks while jobs queue,
 // per-site free slots, carbon and energy accounting, and the budget
 // ledger — and delegates every decision (which queued job, which site,
 // when) to a sched::SchedulingPolicy (sched/policy.h). It serves the
@@ -12,6 +12,12 @@
 //    an integer compare, never an epsilon, and because the tick rate is a
 //    power of two every tick converts to an exact double, so carbon,
 //    energy and wait arithmetic is exact in the event times;
+//  * completions wait in a radix heap on the tick clock
+//    (fleetsim/completion_queue.h): a push is an append, and each entry
+//    is re-filed at most 64 times before it pops, where a binary heap
+//    pays a log-depth sift per pop;
+//  * each user's budget account is resolved once per run, so the per-job
+//    ledger charge is an index, not a name lookup;
 //  * O(1) per-job carbon through PUE-weighted prefix sums
 //    (op::CarbonIntegrator), built once per site at construction, so
 //    run() cost scales with job count, not job-hours;
