@@ -127,6 +127,24 @@ void remove_stale_socket(const std::string& path) {
   if (!S_ISSOCK(st.st_mode)) {
     throw Error("net: '" + path + "' exists and is not a socket");
   }
+  // Probe before unlinking: a socket whose listener is gone refuses the
+  // connect, while a live one accepts it (or, with a full backlog, asks a
+  // non-blocking caller to retry).
+  const sockaddr_un addr = unix_addr(path);
+  const int fd = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
+  if (fd < 0) sys_fail("socket(AF_UNIX)");
+  const int rc =
+      connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  const int saved = errno;
+  close(fd);
+  if (rc == 0 || saved == EAGAIN) {
+    throw Error("net: '" + path + "' is in use");
+  }
+  if (saved == ENOENT) return;  // removed since the lstat
+  if (saved != ECONNREFUSED) {
+    errno = saved;
+    sys_fail("probe unix '" + path + "'");
+  }
   unlink(path.c_str());
 }
 

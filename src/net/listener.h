@@ -22,8 +22,10 @@ int listen_tcp(const std::string& host_port, int backlog = 512);
 int listen_unix(const std::string& path, int backlog = 512);
 
 /// Ready `path` for a Unix-domain bind: unlink a socket file left there
-/// by an unclean shutdown; throw hpcarbon::Error when `path` holds
-/// anything else (a regular file, a directory), which is never removed.
+/// by an unclean shutdown, which refuses a connect. Throw hpcarbon::Error
+/// ("'PATH' is in use") when a listener still accepts on it, and when
+/// `path` holds anything else (a regular file, a directory); neither is
+/// ever removed.
 void remove_stale_socket(const std::string& path);
 
 /// The "ip:port" a listening TCP socket actually bound (resolves port 0).

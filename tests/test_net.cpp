@@ -26,6 +26,7 @@
 #include "net/loadgen.h"
 #include "net/server.h"
 #include "obs/metrics.h"
+#include "obs/scrape.h"
 #include "serve/engine.h"
 #include "serve/limits.h"
 
@@ -261,6 +262,60 @@ TEST(NetServer, UnixSocketByteIdenticalToBatch) {
   expect_socket_matches_batch(std::move(opts));
   EXPECT_NE(::access(test_socket_path("uds").c_str(), F_OK), 0)
       << "drain must unlink the socket file";
+}
+
+/// Runs `start` and expects hpcarbon::Error naming `path` as in use.
+template <typename Start>
+void expect_in_use(const std::string& path, Start start) {
+  try {
+    start();
+    ADD_FAILURE() << "a second listener took over live " << path;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + path + "' is in use"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// A socket path a server still listens on is refused, by the data plane
+// and by the scrape endpoint alike, and the first server keeps answering
+// on it (`serve --unix P --metrics-unix P` used to hand P to the scrape
+// server).
+TEST(NetServer, LiveUnixSocketIsNotTakenOver) {
+  net::ServerOptions opts;
+  opts.unix_path = test_socket_path("live");
+  const std::string path = opts.unix_path;
+  TestServer ts(std::move(opts));
+  expect_in_use(path, [&] { ::close(net::listen_unix(path)); });
+  expect_in_use(path, [&] {
+    obs::MetricsRegistry reg;
+    obs::ScrapeServer scrape(path, &reg);
+    scrape.start();
+  });
+  ASSERT_EQ(::access(path.c_str(), F_OK), 0) << "the live socket is gone";
+
+  const auto requests = fixture_requests();
+  serve::Engine oracle;
+  const int fd = ts.connect();
+  send_all(fd, requests.front() + "\n");
+  const auto got = read_lines(fd, 1);
+  ::close(fd);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], oracle.handle_batch({requests.front()}).front());
+}
+
+// A socket file whose listener is gone (an unclean shutdown) refuses a
+// connect; the next bind removes it and takes the path.
+TEST(NetServer, StaleUnixSocketIsReplaced) {
+  const std::string path = test_socket_path("stale");
+  ::close(net::listen_unix(path));  // closed without unlinking
+  ASSERT_EQ(::access(path.c_str(), F_OK), 0);
+  const int fd = net::listen_unix(path);
+  const int client = net::connect_unix(path);
+  EXPECT_GE(client, 0);
+  ::close(client);
+  ::close(fd);
+  ::unlink(path.c_str());
 }
 
 /// A stats response without its net_* fields: those count socket

@@ -338,6 +338,23 @@ TEST(ObsScrape, RefusesANonSocketPathAndLeavesItInPlace) {
   ::unlink(path.c_str());
 }
 
+// A second scrape server on a live path refuses it and leaves the first
+// one serving; its destructor removes nothing it did not bind.
+TEST(ObsScrape, RefusesALiveSocketAndLeavesItServing) {
+  MetricsRegistry reg;
+  reg.counter("test_live_total", "", "Live scrape.").inc(3);
+  const std::string path =
+      "/tmp/hpcarbon_test_obs_live_" + std::to_string(::getpid()) + ".sock";
+  ScrapeServer first(path, &reg);
+  first.start();
+  {
+    ScrapeServer second(path, &reg);
+    EXPECT_THROW(second.start(), Error);
+  }
+  const std::string text = scrape_once(path);
+  EXPECT_NE(text.find("test_live_total 3\n"), std::string::npos) << text;
+}
+
 TEST(ObsRaceStress, ConcurrentRecordVsScrapeReconcilesExactly) {
   // Writers hammer a counter and a histogram while a reader snapshots
   // continuously. Per-reader snapshot counts must be monotone
