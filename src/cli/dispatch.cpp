@@ -144,13 +144,29 @@ std::uint64_t parse_non_negative_integer(const char* flag,
   return static_cast<std::uint64_t>(n);
 }
 
-int parse_positive_int(const char* flag, const std::string& value) {
+namespace {
+
+/// parse_number, then a whole number in [lowest, INT_MAX]; `kind` names
+/// the range in the error.
+int parse_int_from(const char* flag, const std::string& value, int lowest,
+                   const char* kind) {
   const double n = parse_number(flag, value);
   // The INT_MAX bound comes first: the cast is undefined past int's range.
-  if (n < 1 || n > std::numeric_limits<int>::max() || n != std::floor(n)) {
-    throw Error(std::string(flag) + " expects a positive integer");
+  if (n < lowest || n > std::numeric_limits<int>::max() ||
+      n != std::floor(n)) {
+    throw Error(std::string(flag) + " expects a " + kind + " integer");
   }
   return static_cast<int>(n);
+}
+
+}  // namespace
+
+int parse_positive_int(const char* flag, const std::string& value) {
+  return parse_int_from(flag, value, 1, "positive");
+}
+
+int parse_non_negative_int(const char* flag, const std::string& value) {
+  return parse_int_from(flag, value, 0, "non-negative");
 }
 
 std::string flag_value(const char* flag, int argc, char** argv, int& i) {

@@ -44,6 +44,11 @@ std::uint64_t parse_non_negative_integer(const char* flag,
 /// counts and --capacity.
 int parse_positive_int(const char* flag, const std::string& value);
 
+/// parse_number, then a whole number in [0, INT_MAX]. Throws
+/// hpcarbon::Error "<flag> expects a non-negative integer" otherwise.
+/// Limits where 0 is meaningful: trace --max-gap.
+int parse_non_negative_int(const char* flag, const std::string& value);
+
 /// The value of the flag at argv[i]: advances `i` and returns argv[i].
 /// Throws hpcarbon::Error "<flag> needs a value" when argv ends first.
 /// Shared by every subcommand's flag loop.

@@ -65,8 +65,8 @@ TraceArgs parse_args(int argc, char** argv) {
       args.flags.options.step_seconds =
           parse_number("--step-in", flag_value("--step-in", argc, argv, i));
     } else if (arg == "--max-gap") {
-      args.flags.options.max_gap_samples = static_cast<int>(
-          parse_number("--max-gap", flag_value("--max-gap", argc, argv, i)));
+      args.flags.options.max_gap_samples = parse_non_negative_int(
+          "--max-gap", flag_value("--max-gap", argc, argv, i));
     } else if (arg == "--no-tile") {
       args.flags.options.tile_to_year = false;
     } else if (arg == "--step") {

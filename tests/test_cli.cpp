@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -382,6 +383,10 @@ TEST(Dispatch, BadNumbersAreRejectedDuringArgumentParsing) {
       {{"fleetsim", "--capacity", "3000000000"},
        "--capacity expects a positive integer"},
       {{"sweep", "--samples", "1e30"}, "--samples expects a positive integer"},
+      {{"trace", "stats", fixture_path(), "--max-gap", "1e30"},
+       "--max-gap expects a non-negative integer"},
+      {{"trace", "stats", fixture_path(), "--max-gap", "-1"},
+       "--max-gap expects a non-negative integer"},
   };
   for (const auto& [args, expected] : cases) {
     try {
@@ -391,6 +396,27 @@ TEST(Dispatch, BadNumbersAreRejectedDuringArgumentParsing) {
       EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
           << e.what();
     }
+  }
+}
+
+// 0 is a valid --max-gap (refuse every gap), so the limit parser takes
+// [0, INT_MAX] where parse_positive_int takes [1, INT_MAX].
+TEST(Dispatch, NonNegativeIntTakesZeroThroughIntMax) {
+  EXPECT_EQ(parse_non_negative_int("--max-gap", "0"), 0);
+  EXPECT_EQ(parse_non_negative_int("--max-gap", "2147483647"),
+            std::numeric_limits<int>::max());
+  for (const char* bad : {"-1", "2147483648", "2.5", "1e30"}) {
+    EXPECT_THROW(parse_non_negative_int("--max-gap", bad), Error) << bad;
+  }
+  EXPECT_THROW(parse_positive_int("--capacity", "0"), Error);
+  // Past parsing, 0 reaches the importer, which refuses the sample's gap.
+  try {
+    run_dispatch({"trace", "stats", fixture_path(), "--max-gap", "0"});
+    ADD_FAILURE() << "--max-gap 0 accepted a gapped trace";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("gap of more than 0 samples"),
+              std::string::npos)
+        << e.what();
   }
 }
 
