@@ -34,8 +34,8 @@ class ScrapeServer {
 
   /// Bind + listen + spawn the accept thread. Throws hpcarbon::Error on
   /// any socket failure. A stale socket file at the path is unlinked
-  /// first; any other file there is an error and is left alone
-  /// (net::remove_stale_socket).
+  /// first; a socket a listener still serves, or any other file there,
+  /// is an error and is left alone (net::remove_stale_socket).
   void start();
   /// Close the listener, join the accept thread and unlink the socket
   /// start() bound; idempotent, and a no-op when start() never bound.
