@@ -62,20 +62,19 @@ double cov_percent(std::span<const double> xs) {
 double quantile(std::span<const double> xs, double p) {
   HPC_REQUIRE(!xs.empty(), "quantile of empty range");
   HPC_REQUIRE(p >= 0.0 && p <= 1.0, "quantile p outside [0,1]");
-  // Type-7 reads only the order statistics at lo and lo + 1, so select
-  // them instead of sorting: nth_element places the lo-th, and the
-  // smallest of what it leaves above is the next one. The value is
-  // quantile_sorted's on the fully sorted copy, arithmetic included.
-  if (xs.size() == 1) return xs.front();
+  // quantile_sorted reads only positions lo = floor(p * (n - 1)) and
+  // lo + 1, so put the right order statistics there instead of sorting:
+  // nth_element places the lo-th, and the smallest of what it leaves above
+  // is the next.
   std::vector<double> v(xs.begin(), xs.end());
-  const double h = p * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(h));
+  const auto lo = static_cast<std::size_t>(
+      std::floor(p * static_cast<double>(v.size() - 1)));
   const auto at_lo = v.begin() + static_cast<std::ptrdiff_t>(lo);
   std::nth_element(v.begin(), at_lo, v.end());
-  const double x_lo = *at_lo;
-  const double x_hi =
-      lo + 1 == v.size() ? x_lo : *std::min_element(at_lo + 1, v.end());
-  return x_lo + (h - static_cast<double>(lo)) * (x_hi - x_lo);
+  if (lo + 1 < v.size()) {
+    std::iter_swap(at_lo + 1, std::min_element(at_lo + 1, v.end()));
+  }
+  return quantile_sorted(v, p);
 }
 
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }

@@ -27,14 +27,15 @@ double median(std::span<const double> xs);
 
 /// One-sort descriptive summary of a sample.
 ///
-/// The free functions above each rescan (and `quantile` re-sorts) their
-/// input per call, which is fine for one-off figures but quadratic-feeling
-/// in summarization loops: the Monte-Carlo layer asks for mean, stddev,
-/// and several quantiles of the same vector. Summary pays one pass for the
-/// moments plus one sort at construction; every quantile afterwards is an
-/// O(1) interpolation on the sorted data. Moments are accumulated over the
-/// input order (before sorting), so mean()/stddev() are bit-identical to
-/// the free functions on the same span.
+/// The free functions above each rescan (and `quantile` copies and
+/// partially sorts) their input per call, which is fine for one-off
+/// figures but quadratic-feeling in summarization loops: the Monte-Carlo
+/// layer asks for mean, stddev, and several quantiles of the same vector.
+/// Summary pays one pass for the moments plus one sort at construction;
+/// every quantile afterwards is an O(1) interpolation on the sorted data.
+/// Moments are accumulated over the input order (before sorting), so
+/// mean()/stddev() are bit-identical to the free functions on the same
+/// span.
 class Summary {
  public:
   Summary() = default;
